@@ -131,13 +131,23 @@ def load_mask(path) -> LatentMask:
             continue
         else:
             rows.append(parts)
+    missing = [key for key in ("latent_dim", "threshold") if key not in meta]
+    if missing:
+        raise ValueError(f"{path}: missing header line {', '.join(missing)}")
     d = int(meta["latent_dim"])
     if len(rows) != d:
-        raise ValueError(f"mask file lists {len(rows)} dims, header says {d}")
+        raise ValueError(f"{path}: mask file lists {len(rows)} dims, header says {d}")
+    # d rows with distinct in-range indices cover every dim exactly once.
     importance = np.empty(d)
     keep = np.zeros(d, dtype=bool)
+    seen = set()
     for parts in rows:
         i = int(parts[0])
+        if not 0 <= i < d:
+            raise ValueError(f"{path}: dim index {i} outside [0, {d})")
+        if i in seen:
+            raise ValueError(f"{path}: dim index {i} listed twice")
+        seen.add(i)
         importance[i] = float(parts[1])
         keep[i] = bool(int(parts[2]))
     return LatentMask(

@@ -3,7 +3,9 @@ log-likelihoods, reparameterized sampling, and the binary checkpoint format.
 
 Networks come in two flavors per instance: forward() records the autodiff
 graph for training; forward_np() is the tape-free inference path used for
-dataset encoding and planning (same arithmetic, same op order).
+dataset encoding and planning. The two compute the same function and agree to
+rounding: the graph path's swish and layer norm multiply by a reciprocal where
+the tape-free path divides.
 """
 
 from __future__ import annotations
@@ -116,9 +118,9 @@ class Mlp:
         act = _swish_np if spec.activation == "swish" else np.tanh
         if spec.normalization == "layer_norm":
             if spec.norm_position == "pre":
-                return act(_layer_norm_np(h))
-            return _layer_norm_np(act(h))
-        return act(h)
+                return act(_layer_norm_np(h), out=h)
+            return _layer_norm_np(act(h, out=h))
+        return act(h, out=h)
 
     def forward(self, x) -> ad.Tensor:
         """Graph-recording forward pass; x is (batch, in_dim)."""
@@ -150,7 +152,9 @@ class Mlp:
         n = self.n_layers
         for i in range(n):
             w, b = self.params[2 * i], self.params[2 * i + 1]
-            h = h @ w.data + b.data
+            # The product is a fresh array, so the caller's x is never written.
+            h = h @ w.data
+            h += b.data
             if i < n - 1:
                 h = self._hidden(h, is_graph=False)
         return h
@@ -167,15 +171,21 @@ class Mlp:
             p.data = np.ascontiguousarray(arr, dtype=np.float64)
 
 
-def _swish_np(x):
-    return x / (1.0 + np.exp(-x))
+# Tape-free helpers: both write their result into an array passed in rather
+# than a new one, which keeps forward_np's working set small.
+def _swish_np(x, out):
+    t = np.negative(x)
+    np.exp(t, out=t)
+    t += 1.0
+    return np.divide(x, t, out=out)
 
 
 def _layer_norm_np(x, eps=1e-5):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / np.sqrt(var + eps)
+    x -= x.mean(axis=-1, keepdims=True)
+    var = (x * x).mean(axis=-1, keepdims=True)
+    var += eps
+    x /= np.sqrt(var, out=var)
+    return x
 
 
 class Adam:

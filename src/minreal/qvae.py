@@ -26,6 +26,8 @@ from .nets import (
     MlpSpec,
     cb_log_prob,
     cb_log_prob_t,
+    clamp_log_std_np,
+    clamp_log_std_t,
     gaussian_log_prob_t,
     load_checkpoint,
     reparam_sample,
@@ -160,7 +162,7 @@ class QvaeModel:
             raw = dec.forward_np(z)
             if cls.kind == "diag_gaussian":
                 mean = raw[:, : cls.width]
-                log_std = np.clip(raw[:, cls.width :], -6.0, 2.0)
+                log_std = clamp_log_std_np(raw[:, cls.width :])
                 out.append((mean, log_std))
             else:
                 lam = 1.0 / (1.0 + np.exp(-np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP)))
@@ -182,8 +184,8 @@ class QvaeModel:
     def _encode_graph(self, x):
         out = self.encoder.forward(x)
         mean = ad.slice_cols(out, 0, self.latent_dim)
-        log_std = ad.clip(
-            ad.slice_cols(out, self.latent_dim, 2 * self.latent_dim), -6.0, 2.0
+        log_std = clamp_log_std_t(
+            ad.slice_cols(out, self.latent_dim, 2 * self.latent_dim)
         )
         return mean, log_std
 
@@ -192,7 +194,7 @@ class QvaeModel:
         raw = self.decoders[index].forward(z_t)
         if cls.kind == "diag_gaussian":
             mean = ad.slice_cols(raw, 0, cls.width)
-            log_std = ad.clip(ad.slice_cols(raw, cls.width, 2 * cls.width), -6.0, 2.0)
+            log_std = clamp_log_std_t(ad.slice_cols(raw, cls.width, 2 * cls.width))
             return gaussian_log_prob_t(mean, log_std, x_block)
         lam = ad.sigmoid(ad.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP))
         return cb_log_prob_t(lam, x_block)

@@ -20,6 +20,7 @@ from .nets import (
     Mlp,
     MlpSpec,
     clamp_log_std_np,
+    clamp_log_std_t,
     gaussian_log_prob_t,
     load_checkpoint,
     save_checkpoint,
@@ -27,6 +28,12 @@ from .nets import (
 from .latent import LatentMask, apply_mask
 
 _WORLD_MAGIC = b"MRWORLD1"
+
+# Candidates are scored in blocks of this many rows, each block over the whole
+# horizon before the next starts: at planner widths a block's activations then
+# stay in a 2 MB L2 cache instead of streaming K-row temporaries through DRAM
+# on every layer op.
+ROLLOUT_BLOCK_ROWS = 1024
 
 # Hidden widths scale with the input so masking shrinks the whole network,
 # not just its first layer (the planner's per-candidate cost then drops
@@ -78,11 +85,12 @@ class WorldModel:
         out = self.reward.forward_np(self._join(s, a))
         return out[:, 0], clamp_log_std_np(out[:, 1])
 
+    # The planner reads only the means, so these skip the log-std clamp.
     def dynamics_mean(self, s, a):
-        return self.dynamics_params(s, a)[0]
+        return self.dynamics.forward_np(self._join(s, a))[:, : self.state_dim]
 
     def reward_mean(self, s, a):
-        return self.reward_params(s, a)[0]
+        return self.reward.forward_np(self._join(s, a))[:, 0]
 
 
 def build_world_model(
@@ -172,14 +180,14 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
     x = np.hstack([batch.states, batch.actions])
     dyn_out = model.dynamics.forward(x)
     mean = ad.slice_cols(dyn_out, 0, model.state_dim)
-    log_std = ad.clip(
-        ad.slice_cols(dyn_out, model.state_dim, 2 * model.state_dim), -6.0, 2.0
+    log_std = clamp_log_std_t(
+        ad.slice_cols(dyn_out, model.state_dim, 2 * model.state_dim)
     )
     dyn_lp = gaussian_log_prob_t(mean, log_std, batch.next_states)
 
     rew_out = model.reward.forward(x)
     r_mean = ad.slice_cols(rew_out, 0, 1)
-    r_ls = ad.clip(ad.slice_cols(rew_out, 1, 2), -6.0, 2.0)
+    r_ls = clamp_log_std_t(ad.slice_cols(rew_out, 1, 2))
     rew_lp = gaussian_log_prob_t(r_mean, r_ls, batch.rewards[:, None])
 
     loss = ad.neg(ad.mean_all(ad.add(dyn_lp, rew_lp)))
@@ -209,10 +217,13 @@ def heldout_nll(model: WorldModel, ds: WorldDataset, dims=None):
 def rollout(model, s0, actions, sample=False, rng=None):
     """Propagate dynamics means from s0 under an action sequence.
 
-    Returns (states, reward_means), one entry per action; rewards are
-    evaluated at the pre-transition pair. Empty actions give empty outputs.
-    A non-finite prediction truncates the rollout; the remaining rewards are
-    -inf markers.
+    Returns (states, reward_means), one entry per action: states[t] follows
+    actions[t], and rewards[t] is evaluated at the pre-transition pair
+    (s_t, a_t). Empty actions give empty outputs. A non-finite reward r_t
+    truncates the rollout: states from t on are NaN and rewards from t on are
+    -inf markers. A non-finite state s_{t+1} does the same from states[t] and
+    rewards[t + 1] on, since r_t was computed before it; the final state feeds
+    no reward. The reward sum thus equals rollout_batch's score to rounding.
     """
     s0 = np.asarray(s0, dtype=np.float64)
     actions = np.asarray(actions, dtype=np.float64)
@@ -229,9 +240,13 @@ def rollout(model, s0, actions, sample=False, rng=None):
         else:
             s = np.atleast_2d(model.dynamics_mean(s, a))
         states[t] = s[0]
-        if not np.all(np.isfinite(s)) or not np.isfinite(rewards[t]):
+        if not np.isfinite(rewards[t]):
             states[t:] = np.nan
             rewards[t:] = -np.inf
+            return states, rewards
+        if not np.all(np.isfinite(s)):
+            states[t:] = np.nan
+            rewards[t + 1 :] = -np.inf
             return states, rewards
     return states, rewards
 
@@ -240,21 +255,32 @@ def rollout_batch(model, s0, action_seqs):
     """Vectorized mean-propagation rollout over K candidates.
 
     action_seqs is (K, L, A); returns total scores (K,), with -inf for
-    candidates whose rollout left the finite range. Results are identical to
-    K independent rollout() calls, reduced in candidate order.
+    candidates with a non-finite reward or a non-finite state that feeds a
+    later reward. Candidates run in blocks of ROLLOUT_BLOCK_ROWS rows, each
+    over the whole horizon, so a block's activations stay in L2 cache. The
+    state after the last action is never scored, so the dynamics run L - 1
+    times per block. Scores equal the reward sums of K independent rollout()
+    calls within rounding (BLAS may round a block's rows differently from a
+    single row), each summed in step order.
     """
     action_seqs = np.asarray(action_seqs, dtype=np.float64)
     k, horizon, _ = action_seqs.shape
-    s = np.tile(np.asarray(s0, dtype=np.float64)[None, :], (k, 1))
-    scores = np.zeros(k)
-    alive = np.ones(k, dtype=bool)
-    for t in range(horizon):
-        a = action_seqs[:, t, :]
-        r = model.reward_mean(s, a)
-        s = model.dynamics_mean(s, a)
-        ok = np.isfinite(r) & np.all(np.isfinite(s), axis=1)
-        alive &= ok
-        scores = np.where(alive, scores + r, -np.inf)
+    s0 = np.asarray(s0, dtype=np.float64)
+    scores = np.empty(k)
+    for lo in range(0, k, ROLLOUT_BLOCK_ROWS):
+        block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
+        s = np.tile(s0, (block.shape[0], 1))
+        total = np.zeros(block.shape[0])
+        alive = np.ones(block.shape[0], dtype=bool)
+        for t in range(horizon):
+            a = block[:, t, :]
+            r = model.reward_mean(s, a)
+            alive &= np.isfinite(r)
+            total = np.where(alive, total + r, -np.inf)
+            if t + 1 < horizon:
+                s = model.dynamics_mean(s, a)
+                alive &= np.all(np.isfinite(s), axis=1)
+        scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
     return scores
 
 

@@ -200,7 +200,21 @@ class TestMlp:
                 h = xc / np.sqrt(var + 1e-5)
         graph_out = net.forward(x)
         np.testing.assert_allclose(graph_out.data, h, atol=1e-10)
-        np.testing.assert_allclose(net.forward_np(x), h, atol=1e-10)
+        # Same ops in the same order as the oracle, so the same bits.
+        assert net.forward_np(x).tobytes() == h.tobytes()
+
+    @pytest.mark.parametrize("activation", ["swish", "tanh"])
+    @pytest.mark.parametrize("normalization", ["layer_norm", "none"])
+    @pytest.mark.parametrize("norm_position", ["post", "pre"])
+    def test_tape_free_matches_graph(self, activation, normalization, norm_position):
+        spec = MlpSpec((5, 16, 12, 3), activation=activation,
+                       normalization=normalization, norm_position=norm_position)
+        net = Mlp(spec, seed=2)
+        x = 2.0 * np.random.default_rng(4).normal(size=(64, 5))
+        x_before = x.copy()
+        out = net.forward_np(x)
+        assert x.tobytes() == x_before.tobytes()
+        np.testing.assert_allclose(out, net.forward(x).data, rtol=0.0, atol=1e-12)
 
     def test_forward_bitwise_deterministic(self):
         spec = MlpSpec((4, 8, 2))

@@ -161,3 +161,38 @@ class TestMaskFile:
         with pytest.raises(ValueError):
             LatentMask(keep=np.ones(3, dtype=bool), threshold_used=0.1,
                        importance=np.zeros(4))
+
+
+class TestMaskFileRejectsMalformed:
+    """Each malformed file raises ValueError naming the file."""
+
+    def write(self, tmp_path, text):
+        path = tmp_path / "bad_mask.txt"
+        path.write_text(text)
+        return path
+
+    def rows(self, *dims):
+        return "".join(f"{i}\t0.5\t1\n" for i in dims)
+
+    def test_repeated_dim_index(self, tmp_path):
+        path = self.write(
+            tmp_path, "latent_dim\t3\nthreshold\t0.1\ndim\timportance\tkeep\n"
+            + self.rows(0, 1, 1),
+        )
+        with pytest.raises(ValueError, match="bad_mask.txt"):
+            load_mask(path)
+
+    @pytest.mark.parametrize("header", ["latent_dim\t2\n", "threshold\t0.1\n"])
+    def test_missing_header_line(self, tmp_path, header):
+        path = self.write(tmp_path, header + "dim\timportance\tkeep\n" + self.rows(0, 1))
+        with pytest.raises(ValueError, match="bad_mask.txt"):
+            load_mask(path)
+
+    @pytest.mark.parametrize("dim", [2, -1])
+    def test_out_of_range_dim_index(self, tmp_path, dim):
+        path = self.write(
+            tmp_path, "latent_dim\t2\nthreshold\t0.1\ndim\timportance\tkeep\n"
+            + self.rows(0, dim),
+        )
+        with pytest.raises(ValueError, match="bad_mask.txt"):
+            load_mask(path)

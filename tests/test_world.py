@@ -7,6 +7,7 @@ from minreal.latent import build_mask
 from minreal.qvae import ObservationClass, build_qvae
 from minreal.tsallis import QParams
 from minreal.world import (
+    ROLLOUT_BLOCK_ROWS,
     WorldDataset,
     WorldTrainConfig,
     build_world_model,
@@ -34,6 +35,14 @@ class AnalyticModel:
     def reward_mean(self, s, a):
         s = np.atleast_2d(s)
         return -np.sum(s * s, axis=1)
+
+
+class Explodes(AnalyticModel):
+    """AnalyticModel whose next state is NaN once it leaves [-2, 2]."""
+
+    def dynamics_mean(self, s, a):
+        out = super().dynamics_mean(s, a)
+        return np.where(np.abs(out) > 2.0, np.nan, out)
 
 
 class CountingModel(AnalyticModel):
@@ -133,23 +142,56 @@ class TestRollout:
         assert model.dyn_calls == 7
 
     def test_nonfinite_truncates_with_neg_inf(self):
-        class Explodes(AnalyticModel):
-            def dynamics_mean(self, s, a):
-                out = super().dynamics_mean(s, a)
-                return np.where(np.abs(out) > 2.0, np.nan, out)
-
+        # s_3 = 3 explodes: r_2 = -4 was scored before it, rewards from 3 on
+        # are -inf, and states from s_3 (states[2]) on are NaN.
         states, rewards = rollout(Explodes(), np.zeros(1), np.full((5, 1), 1.0))
-        assert np.isneginf(rewards[-1])
+        np.testing.assert_array_equal(rewards, [0.0, -1.0, -4.0, -np.inf, -np.inf])
+        np.testing.assert_array_equal(states[:2, 0], [1.0, 2.0])
+        assert np.all(np.isnan(states[2:]))
 
-    def test_batch_matches_single(self):
+    @pytest.mark.parametrize(
+        "k", [6, ROLLOUT_BLOCK_ROWS, 2 * ROLLOUT_BLOCK_ROWS + 452]
+    )
+    def test_batch_matches_single(self, k):
+        # below one block, exactly one block, ragged last block
         model = build_world_model(2, 2, seed=8)
         rng = np.random.default_rng(1)
-        cands = rng.normal(size=(6, 4, 2))
+        cands = rng.normal(size=(k, 4, 2))
         s0 = rng.normal(size=2)
         batch_scores = rollout_batch(model, s0, cands)
-        for k in range(6):
-            _, rewards = rollout(model, s0, cands[k])
-            assert batch_scores[k] == pytest.approx(rewards.sum(), rel=1e-10)
+        for i in range(k):
+            _, rewards = rollout(model, s0, cands[i])
+            total = rewards.sum()
+            assert abs(batch_scores[i] - total) <= 1e-12 * max(1.0, abs(total))
+
+    @pytest.mark.parametrize("horizon", [0, 1, 4])
+    def test_batch_skips_unscored_last_dynamics_step(self, horizon):
+        model = CountingModel()
+        k = 2 * ROLLOUT_BLOCK_ROWS + 5
+        rollout_batch(model, np.zeros(2), np.zeros((k, horizon, 2)))
+        assert model.dyn_calls == max(horizon - 1, 0) * 3
+
+    def test_nonfinite_final_state_is_not_scored(self):
+        # s_3 = 3 explodes, but no reward is computed at s_3.
+        actions = np.full((3, 1), 1.0)
+        states, rewards = rollout(Explodes(), np.zeros(1), actions)
+        assert np.isnan(states[-1, 0])
+        np.testing.assert_array_equal(rewards, [0.0, -1.0, -4.0])
+        score = rollout_batch(Explodes(), np.zeros(1), actions[None])
+        np.testing.assert_array_equal(score, [rewards.sum()])
+
+    def test_exploding_candidate_in_second_block(self):
+        rng = np.random.default_rng(2)
+        cands = rng.uniform(-0.5, 0.5, size=(ROLLOUT_BLOCK_ROWS + 40, 3, 1))
+        bad = ROLLOUT_BLOCK_ROWS + 7
+        cands[bad] = 1.5  # s_2 = 3 explodes and feeds r_2
+        scores = rollout_batch(Explodes(), np.zeros(1), cands)
+        assert np.isneginf(scores[bad])
+        rest = np.delete(np.arange(cands.shape[0]), bad)
+        np.testing.assert_array_equal(
+            scores[rest], rollout_batch(Explodes(), np.zeros(1), cands[rest])
+        )
+        assert np.all(np.isfinite(scores[rest]))
 
     def test_sampling_mode_uses_rng(self):
         model = build_world_model(2, 2, seed=9)
