@@ -50,7 +50,6 @@ class CemConfig:
     smoothing: float = 0.4
     max_iters: int = 10
     time_budget: float | None = None  # seconds; None = unlimited
-    return_best: bool = False  # return best-scoring candidate instead of mean
 
     def __post_init__(self):
         lo = np.asarray(self.action_low, dtype=np.float64)
@@ -100,23 +99,14 @@ class PlanDiagnostics:
     final_policy: PolicyParams | None = None
 
 
-def sample_candidates(policy: PolicyParams, k, rng):
-    """k Gaussian draws around the policy, clipped to the action bounds set
-    by the caller via clip_candidates; rng may be a seed or a Generator."""
+def sample_candidates(policy: PolicyParams, k, low, high, rng):
+    """k Gaussian draws around the policy, clipped to the action bounds
+    [low, high]; rng may be a seed or a Generator."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     steps, adim = policy.mean.shape
     draws = policy.mean + policy.std * rng.standard_normal((k, steps, adim))
-    return draws
-
-
-def clip_candidates(candidates, low, high):
-    return np.clip(candidates, low, high)
-
-
-def score_candidates(model, s0, candidates):
-    """Total predicted reward per candidate (pure, order-independent)."""
-    return rollout_batch(model, s0, candidates)
+    return np.clip(draws, low, high, out=draws)
 
 
 def select_elites(scores, elite_ratio):
@@ -165,7 +155,6 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
             f"{(config.plan_steps, config.action_dim)}"
         )
     best_score = -np.inf
-    best_first_action = policy.mean[0].copy()
     iters = 0
     for _ in range(config.max_iters):
         if config.time_budget is not None and iters > 0:
@@ -173,14 +162,11 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
                 break
         if config.time_budget is not None and config.time_budget <= 0.0:
             break
-        candidates = sample_candidates(policy, config.candidates, rng)
-        candidates = clip_candidates(candidates, config.action_low, config.action_high)
-        scores = score_candidates(model, s0, candidates)
+        candidates = sample_candidates(policy, config.candidates, config.action_low,
+                                       config.action_high, rng)
+        scores = rollout_batch(model, s0, candidates)
         elite_idx = select_elites(scores, config.elite_ratio)
-        top = int(elite_idx[0])
-        if scores[top] > best_score:
-            best_score = float(scores[top])
-            best_first_action = candidates[top, 0].copy()
+        best_score = max(best_score, float(scores[elite_idx[0]]))
         policy = smooth_update(policy, refit_policy(candidates[elite_idx]),
                                config.smoothing)
         iters += 1
@@ -193,12 +179,7 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
         no_iteration_warning=(iters == 0),
         final_policy=policy,
     )
-    if config.return_best and iters > 0:
-        action = best_first_action
-    else:
-        action = policy.mean[0].copy()
-    action = np.clip(action, config.action_low, config.action_high)
-    return action, diag
+    return np.clip(policy.mean[0], config.action_low, config.action_high), diag
 
 
 def shift_policy(policy: PolicyParams, config: CemConfig) -> PolicyParams:

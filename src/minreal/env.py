@@ -11,11 +11,11 @@ and the per-episode target height.
 from __future__ import annotations
 
 import dataclasses
-import struct
 
 import numpy as np
 
 from .errors import ConfigError
+from .nets import check_arrays, load_checkpoint, save_checkpoint
 
 DT = 0.1
 V_MAX = 1.0
@@ -42,8 +42,6 @@ DEFAULT_NOISE_STD = 0.1
 # well inside the step cap.
 SPAWN_DX = 0.15
 SPAWN_DY = (0.2, 0.4)
-
-_TRANS_MAGIC = b"MRTRANS1"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -205,60 +203,38 @@ def collect_dataset(n_episodes, noise_std=DEFAULT_NOISE_STD, seed=0) -> DatasetS
 
 
 # --- transition file io -----------------------------------------------------
-# Layout: magic, int64 header (image height, image width, proprio dim, action
-# dim, record count), then per record little-endian float64: image row-major,
-# proprio, action, next image, next proprio, reward.
+
+# Array name -> (per-record value, per-record shape).
+_TRANSITION_FIELDS = {
+    "image": (lambda t: t.obs.image, (IMAGE_SIZE, IMAGE_SIZE)),
+    "proprio": (lambda t: t.obs.proprio, (PROPRIO_DIM,)),
+    "action": (lambda t: t.action, (ACTION_DIM,)),
+    "next_image": (lambda t: t.next_obs.image, (IMAGE_SIZE, IMAGE_SIZE)),
+    "next_proprio": (lambda t: t.next_obs.proprio, (PROPRIO_DIM,)),
+    "reward": (lambda t: t.reward, ()),
+}
 
 
 def save_transitions(path, transitions):
     n = len(transitions)
-    with open(path, "wb") as fh:
-        fh.write(_TRANS_MAGIC)
-        fh.write(
-            struct.pack("<5q", IMAGE_SIZE, IMAGE_SIZE, PROPRIO_DIM, ACTION_DIM, n)
-        )
-        for t in transitions:
-            rec = np.concatenate(
-                [
-                    t.obs.image.ravel(),
-                    t.obs.proprio,
-                    t.action,
-                    t.next_obs.image.ravel(),
-                    t.next_obs.proprio,
-                    [t.reward],
-                ]
-            )
-            fh.write(np.ascontiguousarray(rec, dtype="<f8").tobytes())
+    arrays = {
+        name: np.array([get(t) for t in transitions], dtype=np.float64).reshape(n, *shape)
+        for name, (get, shape) in _TRANSITION_FIELDS.items()
+    }
+    save_checkpoint(path, {"kind": "transitions"}, arrays)
 
 
 def load_transitions(path):
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(_TRANS_MAGIC)] != _TRANS_MAGIC:
-        raise ValueError(f"{path} is not a transition file")
-    h, w, pd, adim, n = struct.unpack_from("<5q", raw, len(_TRANS_MAGIC))
-    if (h, w, pd, adim) != (IMAGE_SIZE, IMAGE_SIZE, PROPRIO_DIM, ACTION_DIM):
-        raise ValueError(f"{path}: unexpected dimensions {(h, w, pd, adim)}")
-    rec_len = 2 * (h * w + pd) + adim + 1
-    data = np.frombuffer(raw, dtype="<f8", offset=len(_TRANS_MAGIC) + 40)
-    if data.size != n * rec_len:
-        raise ValueError(f"{path}: expected {n * rec_len} floats, got {data.size}")
-    out = []
-    for rec in data.reshape(n, rec_len):
-        img = rec[: h * w].reshape(h, w)
-        pro = rec[h * w : h * w + pd]
-        act = rec[h * w + pd : h * w + pd + adim]
-        img2 = rec[h * w + pd + adim : 2 * h * w + pd + adim].reshape(h, w)
-        pro2 = rec[2 * h * w + pd + adim : 2 * (h * w + pd) + adim]
-        out.append(
-            Transition(
-                obs=Observation(image=img.copy(), proprio=pro.copy()),
-                action=act.copy(),
-                next_obs=Observation(image=img2.copy(), proprio=pro2.copy()),
-                reward=float(rec[-1]),
-            )
-        )
-    return out
+    """Raises MissingArtifact if the file is absent and a ValueError naming
+    it if it is not a well-formed transition file (see nets.load_checkpoint),
+    or if its arrays have other names or shapes or hold a non-finite value."""
+    _, arrays = load_checkpoint(path, "transitions")
+    shapes = {name: ("n", *shape) for name, (_, shape) in _TRANSITION_FIELDS.items()}
+    return [
+        Transition(obs=Observation(image=img, proprio=pro), action=act,
+                   next_obs=Observation(image=img2, proprio=pro2), reward=float(r))
+        for img, pro, act, img2, pro2, r in zip(*check_arrays(path, arrays, shapes))
+    ]
 
 
 def observation_matrix(transitions):

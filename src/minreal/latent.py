@@ -8,6 +8,8 @@ import warnings
 
 import numpy as np
 
+from .nets import check_arrays, load_checkpoint, save_checkpoint
+
 DEFAULT_IMPORTANCE_THRESHOLD = 0.15
 
 
@@ -104,55 +106,26 @@ def apply_mask(z, mask: LatentMask):
 
 
 def save_mask(path, mask: LatentMask):
-    """Text format: latent dim, threshold, then one line per dimension with
-    importance (full precision) and keep flag. Round-trips exactly."""
-    lines = [
-        f"latent_dim\t{mask.latent_dim}",
-        f"threshold\t{mask.threshold_used:.17g}",
-        f"fallback_used\t{int(mask.fallback_used)}",
-        "dim\timportance\tkeep",
-    ]
-    for i in range(mask.latent_dim):
-        lines.append(f"{i}\t{mask.importance[i]:.17g}\t{int(mask.keep[i])}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """keep (as 0/1) and importance as arrays, the threshold and the
+    fallback flag in the header. Round-trips exactly."""
+    header = {"kind": "mask", "threshold_used": mask.threshold_used,
+              "fallback_used": mask.fallback_used}
+    save_checkpoint(path, header, {"keep": mask.keep, "importance": mask.importance})
 
 
 def load_mask(path) -> LatentMask:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    meta = {}
-    rows = []
-    for ln in lines:
-        parts = ln.split("\t")
-        if parts[0] in ("latent_dim", "threshold", "fallback_used"):
-            meta[parts[0]] = parts[1]
-        elif parts[0] == "dim":
-            continue
-        else:
-            rows.append(parts)
-    missing = [key for key in ("latent_dim", "threshold") if key not in meta]
-    if missing:
-        raise ValueError(f"{path}: missing header line {', '.join(missing)}")
-    d = int(meta["latent_dim"])
-    if len(rows) != d:
-        raise ValueError(f"{path}: mask file lists {len(rows)} dims, header says {d}")
-    # d rows with distinct in-range indices cover every dim exactly once.
-    importance = np.empty(d)
-    keep = np.zeros(d, dtype=bool)
-    seen = set()
-    for parts in rows:
-        i = int(parts[0])
-        if not 0 <= i < d:
-            raise ValueError(f"{path}: dim index {i} outside [0, {d})")
-        if i in seen:
-            raise ValueError(f"{path}: dim index {i} listed twice")
-        seen.add(i)
-        importance[i] = float(parts[1])
-        keep[i] = bool(int(parts[2]))
-    return LatentMask(
-        keep=keep,
-        threshold_used=float(meta["threshold"]),
-        importance=importance,
-        fallback_used=bool(int(meta.get("fallback_used", "0"))),
-    )
+    """Raises MissingArtifact if the file is absent and a ValueError naming
+    it if it is not a well-formed mask file (see nets.load_checkpoint), if
+    its arrays have other names or shapes or hold a non-finite value, if a
+    keep flag is not 0 or 1 or none is 1, or if the threshold is not a
+    number or the fallback flag not a boolean."""
+    header, arrays = load_checkpoint(path, "mask")
+    keep, importance = check_arrays(path, arrays, {"keep": ("d",), "importance": ("d",)})
+    threshold, fallback = header.get("threshold_used"), header.get("fallback_used")
+    if type(threshold) not in (int, float) or type(fallback) is not bool:
+        raise ValueError(f"{path}: bad threshold_used {threshold!r} or "
+                         f"fallback_used {fallback!r}")
+    if not np.isin(keep, (0.0, 1.0)).all() or not keep.any():
+        raise ValueError(f"{path}: keep flags must be 0 or 1, at least one 1")
+    return LatentMask(keep=keep == 1.0, threshold_used=float(threshold),
+                      importance=importance, fallback_used=fallback)

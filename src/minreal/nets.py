@@ -1,5 +1,6 @@
 """Dense networks, the Adam optimizer, Gaussian and continuous-Bernoulli
-log-likelihoods, reparameterized sampling, and the binary checkpoint format.
+log-likelihoods, reparameterized sampling, and the artifact container that
+every saved model, dataset and mask uses.
 
 Networks come in two flavors per instance: forward() records the autodiff
 graph for training; forward_np() is the tape-free inference path used for
@@ -11,19 +12,19 @@ the tape-free path divides.
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
-import struct
+import math
+import os
 
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, MissingArtifact, TrainingAbort
 from .tsallis import LOG_STD_MAX, LOG_STD_MIN
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
-_CKPT_MAGIC = b"MRCKPT01"
+_MAGIC = b"MRCKPT02"
 
 ACTIVATIONS = ("swish", "tanh")
 NORMALIZATIONS = ("layer_norm", "none")
@@ -129,6 +130,11 @@ class Mlp:
             raise ValueError(
                 f"expected input (batch, {self.spec.in_dim}), got {x.data.shape}"
             )
+        # Checked first, so a diverged parameter aborts before it pushes NaN
+        # through every layer.
+        for j, p in enumerate(self.params):
+            if not np.isfinite(p.data).all():
+                raise TrainingAbort(f"non-finite values in parameter {_param_name(j)}")
         h = x
         n = self.n_layers
         for i in range(n):
@@ -158,17 +164,6 @@ class Mlp:
             if i < n - 1:
                 h = self._hidden(h, is_graph=False)
         return h
-
-    def state_arrays(self):
-        return [p.data for p in self.params]
-
-    def load_arrays(self, arrays):
-        if len(arrays) != len(self.params):
-            raise ValueError(f"expected {len(self.params)} arrays, got {len(arrays)}")
-        for p, arr in zip(self.params, arrays):
-            if arr.shape != p.data.shape:
-                raise ValueError(f"array shape {arr.shape} != param shape {p.data.shape}")
-            p.data = np.ascontiguousarray(arr, dtype=np.float64)
 
 
 # Tape-free helpers: both write their result into an array passed in rather
@@ -349,44 +344,116 @@ def clamp_log_std_np(log_std):
     return np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
-# --- checkpoint io --------------------------------------------------------
+# --- the artifact container ------------------------------------------------
 
 
-def save_checkpoint(path, header: dict, arrays):
-    """Binary layout: magic, u32 JSON header length, JSON header (carries the
-    model spec and array shapes in declaration order), then the arrays as raw
-    little-endian float64. Round-trips to bitwise-equal parameters."""
+def _param_name(j):
+    """Name of an Mlp's j-th parameter: w{i} or b{i} for layer i."""
+    return f"{'wb'[j % 2]}{j // 2}"
+
+
+def param_arrays(nets):
+    """Parameter arrays of {prefix: Mlp} by name ("{prefix}.w0",
+    "{prefix}.b0", ...), in network order."""
+    return {f"{prefix}.{_param_name(j)}": p.data
+            for prefix, net in nets.items() for j, p in enumerate(net.params)}
+
+
+def set_params(nets, arrays):
+    """Load arrays named as by param_arrays into the networks' parameters;
+    ValueError unless the names, their order and the shapes all match."""
+    params = [p for net in nets.values() for p in net.params]
+    want = [(name, a.shape) for name, a in param_arrays(nets).items()]
+    if want != [(name, a.shape) for name, a in arrays.items()]:
+        raise ValueError("parameter arrays do not match the networks in the header")
+    for p, a in zip(params, arrays.values()):
+        p.data = a
+
+
+def save_checkpoint(path, header: dict, arrays: dict):
+    """Write an artifact: magic, u32 little-endian header length, the JSON
+    header (sorted keys; "arrays" lists each array's [name, shape] in the
+    order of the dict), then each array as raw little-endian float64. Equal
+    inputs give equal bytes, and arrays round-trip bitwise."""
     header = dict(header)
-    header["arrays"] = [list(a.shape) for a in arrays]
+    header["arrays"] = [[name, list(np.shape(a))] for name, a in arrays.items()]
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    buf = io.BytesIO()
-    buf.write(_CKPT_MAGIC)
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    for a in arrays:
-        buf.write(np.ascontiguousarray(a, dtype="<f8").tobytes())
-    data = buf.getvalue()
     with open(path, "wb") as fh:
-        fh.write(data)
+        fh.write(_MAGIC + len(blob).to_bytes(4, "little") + blob)
+        for a in arrays.values():
+            fh.write(np.ascontiguousarray(a, dtype="<f8").data)
 
 
-def load_checkpoint(path):
-    """Returns (header dict, list of float64 arrays)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(_CKPT_MAGIC)] != _CKPT_MAGIC:
-        raise ValueError(f"{path} is not a checkpoint file")
-    off = len(_CKPT_MAGIC)
-    (hlen,) = struct.unpack_from("<I", raw, off)
-    off += 4
-    header = json.loads(raw[off : off + hlen].decode("utf-8"))
-    off += hlen
-    arrays = []
-    for shape in header["arrays"]:
-        n = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(raw, dtype="<f8", count=n, offset=off).reshape(shape)
-        arrays.append(arr.astype(np.float64))
-        off += 8 * n
-    if off != len(raw):
-        raise ValueError(f"{path}: trailing bytes after parameter arrays")
+def _is_entry(entry):
+    return (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(type(d) is int for d in entry[1]))
+
+
+def load_checkpoint(path, kind):
+    """Read an artifact written by save_checkpoint whose header says `kind`.
+
+    Returns (header dict, {name: float64 array}). Raises MissingArtifact if
+    the file is absent, and a ValueError naming the file if it is shorter
+    than the fixed prefix or has the wrong magic, if the header length runs
+    past the end, if the header is not UTF-8 JSON with a list of
+    [name, shape] entries, if the kind differs, if a name repeats or a
+    dimension is negative, or if the payload is not exactly the declared
+    byte count.
+    """
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        raise MissingArtifact(f"{path}: no such file") from None
+    with fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(_MAGIC) + 4)
+        if len(prefix) < len(_MAGIC) + 4 or prefix[: len(_MAGIC)] != _MAGIC:
+            raise ValueError(f"{path} is not a minreal artifact")
+        hlen = int.from_bytes(prefix[len(_MAGIC) :], "little")
+        if len(prefix) + hlen > size:
+            raise ValueError(f"{path}: header of {hlen} bytes runs past the end of the file")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError both are
+            raise ValueError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+        entries = header.get("arrays") if isinstance(header, dict) else None
+        if not isinstance(entries, list) or not all(map(_is_entry, entries)):
+            raise ValueError(f"{path}: header lacks a list of [name, shape] entries")
+        if header.get("kind") != kind:
+            raise ValueError(f"{path}: expected a {kind!r} artifact, got {header.get('kind')!r}")
+        names = [name for name, _ in entries]
+        if len(set(names)) != len(names):
+            raise ValueError(f"{path}: repeated array name in {names}")
+        if any(d < 0 for _, shape in entries for d in shape):
+            raise ValueError(f"{path}: negative dimension in {entries}")
+        sizes = [math.prod(shape) for _, shape in entries]
+        payload = size - len(prefix) - hlen
+        if payload != 8 * sum(sizes):
+            raise ValueError(f"{path}: payload is {payload} bytes, header declares {8 * sum(sizes)}")
+        # Read straight into each array, so no copy of the whole file is held.
+        arrays = {}
+        for (name, shape), n in zip(entries, sizes):
+            arr = np.fromfile(fh, dtype="<f8", count=n)
+            arrays[name] = arr.astype(np.float64, copy=False).reshape(shape)
     return header, arrays
+
+
+def check_arrays(path, arrays, shapes):
+    """The arrays of a data artifact in `shapes` order, after checking that
+    their names are exactly `shapes`' keys, that each shape matches (a str
+    dimension must take one value wherever it appears) and that every value
+    is finite; a ValueError naming the file otherwise."""
+    if list(arrays) != list(shapes):
+        raise ValueError(f"{path}: arrays {list(arrays)}, expected {list(shapes)}")
+    sizes = {}
+    for name, want in shapes.items():
+        got = arrays[name].shape
+        if len(got) != len(want) or any(
+            sizes.setdefault(w, g) != g if isinstance(w, str) else w != g
+            for w, g in zip(want, got)
+        ):
+            raise ValueError(f"{path}: array {name!r} has shape {got}, expected {want}")
+        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{path}: non-finite values in {name!r}")
+    return list(arrays.values())

@@ -30,14 +30,17 @@ from .nets import (
     clamp_log_std_t,
     gaussian_log_prob_t,
     load_checkpoint,
+    param_arrays,
     reparam_sample,
     save_checkpoint,
+    set_params,
 )
 from .tsallis import (
     DEFAULT_MAX_EXPONENT,
     LatentBelief,
     QParams,
     check_sparsity_condition,
+    gaussian_log_prob,
 )
 
 CLASS_KINDS = ("diag_gaussian", "continuous_bernoulli")
@@ -239,9 +242,7 @@ def bracket_term(model: QvaeModel, x, z, qparams=None, max_exponent=DEFAULT_MAX_
     logps = []
     for i, (cls, params) in enumerate(zip(model.classes, model.decode(z))):
         if cls.kind == "diag_gaussian":
-            mean, log_std = params
-            zn = (blocks[i] - mean) / np.exp(log_std)
-            lp = np.sum(-0.5 * zn * zn - log_std - 0.5 * np.log(2 * np.pi), axis=1)
+            lp = gaussian_log_prob(*params, blocks[i])
         else:
             lp = np.atleast_1d(cb_log_prob(params, blocks[i]))
         logps.append(lp)
@@ -363,10 +364,6 @@ class TrainConfig:
     learning_rate: float = 1e-3
     unsafe: bool = False
     max_exponent: float = DEFAULT_MAX_EXPONENT
-
-
-LOG_FIELDS = ("epoch", "total", "recon_c1", "recon_c2", "prior", "entropy",
-              "bracket_min", "saturation_count")
 
 
 def _format_log_row(values):
@@ -508,6 +505,11 @@ def build_qvae(
     return QvaeModel(classes, latent_dim, encoder, decoders, qparams)
 
 
+def _nets(model: QvaeModel):
+    return {"encoder": model.encoder,
+            **{f"decoder{i}": d for i, d in enumerate(model.decoders)}}
+
+
 def save_qvae(path, model: QvaeModel):
     header = {
         "kind": "qvae",
@@ -525,34 +527,21 @@ def save_qvae(path, model: QvaeModel):
             "gamma": model.qparams.gamma,
         },
     }
-    arrays = [p.data for p in model.parameters()]
-    save_checkpoint(path, header, arrays)
+    save_checkpoint(path, header, param_arrays(_nets(model)))
 
 
 def load_qvae(path) -> QvaeModel:
-    header, arrays = load_checkpoint(path)
-    if header.get("kind") != "qvae":
-        raise ValueError(f"{path} is not a qvae checkpoint")
-    classes = tuple(
-        ObservationClass(name=c["name"], kind=c["kind"], width=c["width"])
-        for c in header["classes"]
-    )
-    qp = header["qparams"]
-    qparams = QParams(
-        q=qp["q"],
-        class_qs=tuple(qp["class_qs"]),
-        class_weights=tuple(qp["class_weights"]),
-        beta=qp["beta"],
-        gamma=qp["gamma"],
-    )
-    encoder = Mlp(MlpSpec.from_dict(header["encoder"]), seed=0)
-    decoders = [Mlp(MlpSpec.from_dict(d), seed=0) for d in header["decoders"]]
-    model = QvaeModel(classes, header["latent_dim"], encoder, decoders, qparams)
-    counts = [len(encoder.params)] + [len(d.params) for d in decoders]
-    off = 0
-    encoder.load_arrays(arrays[off : off + counts[0]])
-    off += counts[0]
-    for dec, cnt in zip(decoders, counts[1:]):
-        dec.load_arrays(arrays[off : off + cnt])
-        off += cnt
+    """Raises MissingArtifact if the file is absent and a ValueError naming
+    it if it is not a well-formed q-VAE checkpoint (see load_checkpoint),
+    or if its header fields or parameter arrays do not describe a model."""
+    header, arrays = load_checkpoint(path, "qvae")
+    try:
+        classes = tuple(ObservationClass(**c) for c in header["classes"])
+        qparams = QParams(**header["qparams"])
+        encoder = Mlp(MlpSpec.from_dict(header["encoder"]), seed=0)
+        decoders = [Mlp(MlpSpec.from_dict(d), seed=0) for d in header["decoders"]]
+        model = QvaeModel(classes, header["latent_dim"], encoder, decoders, qparams)
+        set_params(_nets(model), arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a q-VAE checkpoint ({exc!r})") from None
     return model

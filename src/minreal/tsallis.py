@@ -197,15 +197,12 @@ def pseudo_add(lq1, lq2, q):
     return _scalar_or_array(out, lq1, lq2)
 
 
-def gaussian_log_prob(dist: DiagGaussian, x):
-    """Log density of a diagonal Gaussian, summed over the last axis."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != dist.mean.shape[-1]:
-        raise ValueError(
-            f"dimension mismatch: x has {x.shape[-1]}, dist has {dist.mean.shape[-1]}"
-        )
-    z = (x - dist.mean) / dist.std
-    out = np.sum(-0.5 * z * z - dist.log_std - _HALF_LOG_2PI, axis=-1)
+def gaussian_log_prob(mean, log_std, x):
+    """Log density of a diagonal Gaussian with the given mean and log std,
+    summed over the last axis. The one numpy copy; the graph version is
+    nets.gaussian_log_prob_t."""
+    z = (x - mean) / np.exp(log_std)
+    out = np.sum(-0.5 * z * z - log_std - _HALF_LOG_2PI, axis=-1)
     if out.ndim == 0:
         return float(out)
     return out
@@ -267,10 +264,6 @@ class SparsityReport:
     satisfied: bool
     chain: tuple
     exact_vae: bool = False
-
-    @property
-    def chain_values(self):
-        return self.chain
 
 
 def check_sparsity_condition(params: QParams) -> SparsityReport:

@@ -9,7 +9,6 @@ over batched arrays, so analytic test models plug in directly.
 from __future__ import annotations
 
 import dataclasses
-import struct
 
 import numpy as np
 
@@ -19,15 +18,17 @@ from .nets import (
     Adam,
     Mlp,
     MlpSpec,
+    check_arrays,
     clamp_log_std_np,
     clamp_log_std_t,
     gaussian_log_prob_t,
     load_checkpoint,
+    param_arrays,
     save_checkpoint,
+    set_params,
 )
 from .latent import LatentMask, apply_mask
-
-_WORLD_MAGIC = b"MRWORLD1"
+from .tsallis import gaussian_log_prob
 
 # Candidates are scored in blocks of this many rows, each block over the whole
 # horizon before the next starts: at planner widths a block's activations then
@@ -203,14 +204,13 @@ def heldout_nll(model: WorldModel, ds: WorldDataset, dims=None):
     state dimensions (for like-for-like comparisons across maskings).
     """
     mean, log_std = model.dynamics_params(ds.states, ds.actions)
-    zn = (ds.next_states - mean) / np.exp(log_std)
-    per_dim = -0.5 * zn**2 - log_std - 0.5 * np.log(2 * np.pi)
+    target = ds.next_states
     if dims is not None:
-        per_dim = per_dim[:, dims]
-    dyn_nll = -float(per_dim.sum(axis=1).mean())
+        mean, log_std, target = mean[:, dims], log_std[:, dims], target[:, dims]
+    dyn_nll = -float(gaussian_log_prob(mean, log_std, target).mean())
     r_mean, r_ls = model.reward_params(ds.states, ds.actions)
-    zr = (ds.rewards - r_mean) / np.exp(r_ls)
-    rew_nll = -float((-0.5 * zr**2 - r_ls - 0.5 * np.log(2 * np.pi)).mean())
+    rew_nll = -float(gaussian_log_prob(r_mean[:, None], r_ls[:, None],
+                                       ds.rewards[:, None]).mean())
     return dyn_nll + rew_nll, dyn_nll, rew_nll
 
 
@@ -382,6 +382,10 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
 # --- persistence ---------------------------------------------------------
 
 
+def _nets(model: WorldModel):
+    return {"dynamics": model.dynamics, "reward": model.reward}
+
+
 def save_world(path, model: WorldModel):
     header = {
         "kind": "world",
@@ -390,48 +394,38 @@ def save_world(path, model: WorldModel):
         "dynamics": model.dynamics.spec.to_dict(),
         "reward": model.reward.spec.to_dict(),
     }
-    save_checkpoint(path, header, [p.data for p in model.parameters()])
+    save_checkpoint(path, header, param_arrays(_nets(model)))
 
 
 def load_world(path) -> WorldModel:
-    header, arrays = load_checkpoint(path)
-    if header.get("kind") != "world":
-        raise ValueError(f"{path} is not a world-model checkpoint")
-    dyn = Mlp(MlpSpec.from_dict(header["dynamics"]), seed=0)
-    rew = Mlp(MlpSpec.from_dict(header["reward"]), seed=0)
-    model = WorldModel(header["state_dim"], header["action_dim"], dyn, rew)
-    n_dyn = len(dyn.params)
-    dyn.load_arrays(arrays[:n_dyn])
-    rew.load_arrays(arrays[n_dyn:])
+    """Raises MissingArtifact if the file is absent and a ValueError naming
+    it if it is not a well-formed world-model checkpoint (see
+    load_checkpoint), or if its header fields or parameter arrays do not
+    describe a model."""
+    header, arrays = load_checkpoint(path, "world")
+    try:
+        dyn = Mlp(MlpSpec.from_dict(header["dynamics"]), seed=0)
+        rew = Mlp(MlpSpec.from_dict(header["reward"]), seed=0)
+        model = WorldModel(header["state_dim"], header["action_dim"], dyn, rew)
+        set_params(_nets(model), arrays)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: not a world-model checkpoint ({exc!r})") from None
     return model
 
 
+# Array name -> shape; the names are the WorldDataset fields.
+_DATASET_SHAPES = {"states": ("n", "s"), "actions": ("n", "a"),
+                   "next_states": ("n", "s"), "rewards": ("n",)}
+
+
 def save_world_dataset(path, ds: WorldDataset):
-    """Binary: magic, int64 header (state_dim, action_dim, count), then flat
-    little-endian float64 records (s, a, s', r)."""
-    with open(path, "wb") as fh:
-        fh.write(_WORLD_MAGIC)
-        fh.write(struct.pack("<3q", ds.state_dim, ds.action_dim, len(ds)))
-        flat = np.hstack(
-            [ds.states, ds.actions, ds.next_states, ds.rewards[:, None]]
-        )
-        fh.write(np.ascontiguousarray(flat, dtype="<f8").tobytes())
+    save_checkpoint(path, {"kind": "world_dataset"},
+                    {name: getattr(ds, name) for name in _DATASET_SHAPES})
 
 
 def load_world_dataset(path) -> WorldDataset:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[: len(_WORLD_MAGIC)] != _WORLD_MAGIC:
-        raise ValueError(f"{path} is not a world-dataset file")
-    sd, adim, n = struct.unpack_from("<3q", raw, len(_WORLD_MAGIC))
-    rec = 2 * sd + adim + 1
-    data = np.frombuffer(raw, dtype="<f8", offset=len(_WORLD_MAGIC) + 24)
-    if data.size != n * rec:
-        raise ValueError(f"{path}: expected {n * rec} floats, got {data.size}")
-    data = data.reshape(n, rec)
-    return WorldDataset(
-        states=data[:, :sd].copy(),
-        actions=data[:, sd : sd + adim].copy(),
-        next_states=data[:, sd + adim : 2 * sd + adim].copy(),
-        rewards=data[:, -1].copy(),
-    )
+    """Raises MissingArtifact if the file is absent and a ValueError naming
+    it if it is not a well-formed world dataset (see load_checkpoint), or if
+    its arrays have other names or shapes or hold a non-finite value."""
+    _, arrays = load_checkpoint(path, "world_dataset")
+    return WorldDataset(*check_arrays(path, arrays, _DATASET_SHAPES))

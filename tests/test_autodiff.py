@@ -1,11 +1,13 @@
 """Engine tests: finite-difference gradient checks for every op, backward
 guard rails, and a straight-line MLP forward oracle."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from minreal import autodiff as ad
-from minreal.errors import ConfigError
+from minreal.errors import ConfigError, TrainingAbort
 from minreal.nets import Adam, Mlp, MlpSpec
 
 
@@ -254,6 +256,16 @@ class TestMlp:
         net = Mlp(MlpSpec((3, 4, 2)))
         with pytest.raises(ValueError):
             net.forward_np(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_parameter_aborts_before_arithmetic(self, value):
+        net = Mlp(MlpSpec((3, 4, 4, 2)))
+        net.params[2].data[1, 1] = value  # layer 1's weight
+        # a RuntimeWarning from matmul or layer norm would fail the test
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingAbort, match="parameter w1"):
+                net.forward(np.ones((2, 3)))
 
     def test_spec_validation(self):
         with pytest.raises(ConfigError):

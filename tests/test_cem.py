@@ -9,13 +9,14 @@ from minreal.cem import (
     plan,
     refit_policy,
     sample_candidates,
-    clip_candidates,
-    score_candidates,
     select_elites,
     shift_policy,
     smooth_update,
 )
 from minreal.errors import ConfigError
+from minreal.world import rollout_batch
+
+UNBOUNDED = (-np.inf, np.inf)
 
 
 class ShiftModel:
@@ -46,20 +47,20 @@ def config(**kw):
 class TestSampleCandidates:
     def test_shape_and_determinism(self):
         policy = PolicyParams(mean=np.zeros((3, 2)), std=np.ones((3, 2)))
-        a = sample_candidates(policy, 50, rng=123)
-        b = sample_candidates(policy, 50, rng=123)
+        a = sample_candidates(policy, 50, *UNBOUNDED, rng=123)
+        b = sample_candidates(policy, 50, *UNBOUNDED, rng=123)
         assert a.shape == (50, 3, 2)
         np.testing.assert_array_equal(a, b)
 
     def test_floor_std_concentrates_on_mean(self):
         mean = np.array([[0.3, -0.7]])
         policy = PolicyParams(mean=mean, std=np.full((1, 2), 1e-12))
-        draws = sample_candidates(policy, 200, rng=0)
+        draws = sample_candidates(policy, 200, *UNBOUNDED, rng=0)
         assert np.max(np.abs(draws - mean)) < 1e-2  # std floored at 1e-3
 
     def test_clipping_to_bounds(self):
         policy = PolicyParams(mean=np.full((2, 1), 5.0), std=np.full((2, 1), 0.1))
-        draws = clip_candidates(sample_candidates(policy, 100, rng=1), -1.0, 1.0)
+        draws = sample_candidates(policy, 100, -1.0, 1.0, rng=1)
         assert np.all(draws <= 1.0) and np.all(draws >= -1.0)
         assert np.all(draws == 1.0)  # mean far outside: everything lands on the edge
 
@@ -68,7 +69,7 @@ class TestSampleCandidates:
         std = np.array([[0.5, 1.0], [0.3, 0.2]])
         policy = PolicyParams(mean=mean, std=std)
         n = 100_000
-        draws = sample_candidates(policy, n, rng=7)
+        draws = sample_candidates(policy, n, *UNBOUNDED, rng=7)
         stderr = std / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3.0 * stderr)
 
@@ -77,7 +78,7 @@ class TestScoreCandidates:
     def test_single_step_sum_starts_at_h0(self):
         model = ShiftModel()
         cands = np.array([[[0.5]], [[-0.5]]])  # horizon 0: one action each
-        scores = score_candidates(model, np.zeros(1), cands)
+        scores = rollout_batch(model, np.zeros(1), cands)
         np.testing.assert_allclose(scores, [-1.0, -1.0])  # r(s0, a0) only
 
     def test_analytic_two_step(self):
@@ -86,13 +87,13 @@ class TestScoreCandidates:
                 s = np.atleast_2d(s)
                 return -np.sum(s * s, axis=1)
 
-        scores = score_candidates(SquareModel(), np.zeros(1), np.array([[[1.0], [-1.0]]]))
+        scores = rollout_batch(SquareModel(), np.zeros(1), np.array([[[1.0], [-1.0]]]))
         np.testing.assert_allclose(scores, [-1.0])  # -0^2 + -(1)^2
 
     def test_identical_candidates_identical_scores(self):
         model = ShiftModel()
         cand = np.tile(np.array([[[0.3], [0.1]]]), (5, 1, 1))
-        scores = score_candidates(model, np.zeros(1), cand)
+        scores = rollout_batch(model, np.zeros(1), cand)
         assert np.all(scores == scores[0])
 
 
@@ -161,6 +162,8 @@ class TestPlan:
     def test_recovers_quadratic_optimum(self):
         action, diag = plan(ShiftModel(), np.zeros(1), config(), seed=0)
         assert action[0] == pytest.approx(1.0, abs=1e-2)
+        # score = -(s0 - 1)^2 - (a0 - 1)^2 with s0 = 0, at most -1
+        assert -1.0 - 1e-3 < diag.best_score <= -1.0
         assert diag.iterations_completed == 10
 
     def test_deterministic_with_fixed_seed(self):
@@ -195,11 +198,9 @@ class TestPlan:
         hi = np.maximum(policy.mean.max(), 0.0)
         seen_lo, seen_hi = np.full_like(policy.mean, lo), np.full_like(policy.mean, hi)
         for _ in range(cfg.max_iters):
-            cands = clip_candidates(
-                sample_candidates(policy, cfg.candidates, rng),
-                cfg.action_low, cfg.action_high,
-            )
-            scores = score_candidates(model, np.zeros(1), cands)
+            cands = sample_candidates(policy, cfg.candidates, cfg.action_low,
+                                      cfg.action_high, rng)
+            scores = rollout_batch(model, np.zeros(1), cands)
             elite = cands[select_elites(scores, cfg.elite_ratio)]
             refit = refit_policy(elite)
             seen_lo = np.minimum(seen_lo, refit.mean)
@@ -207,13 +208,6 @@ class TestPlan:
             policy = smooth_update(policy, refit, cfg.smoothing)
             assert np.all(policy.mean >= seen_lo - 1e-12)
             assert np.all(policy.mean <= seen_hi + 1e-12)
-
-    def test_best_mode_returns_best_scoring_first_action(self):
-        action, diag = plan(
-            ShiftModel(), np.zeros(1), config(return_best=True), seed=1
-        )
-        assert abs(action[0] - 1.0) < 0.3
-        assert np.isfinite(diag.best_score)
 
     def test_shift_policy_warm_start(self):
         cfg = config(horizon=2)

@@ -1,5 +1,7 @@
 """Hoyer sparsity, dimension importance, and mask construction."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from minreal.latent import (
     load_mask,
     save_mask,
 )
+from minreal.nets import save_checkpoint
 
 
 class TestHoyerSparsity:
@@ -164,35 +167,52 @@ class TestMaskFile:
 
 
 class TestMaskFileRejectsMalformed:
-    """Each malformed file raises ValueError naming the file."""
+    """Each malformed mask file raises ValueError naming the file."""
 
-    def write(self, tmp_path, text):
-        path = tmp_path / "bad_mask.txt"
-        path.write_text(text)
+    HEADER = {"kind": "mask", "threshold_used": 0.1, "fallback_used": False}
+
+    def write(self, tmp_path, header=None, **arrays):
+        path = tmp_path / "bad_mask.bin"
+        arrays = arrays or {"keep": np.array([1.0, 0.0]), "importance": np.array([0.5, 0.05])}
+        save_checkpoint(path, header or self.HEADER, arrays)
         return path
 
-    def rows(self, *dims):
-        return "".join(f"{i}\t0.5\t1\n" for i in dims)
+    def test_well_formed_file_loads(self, tmp_path):
+        mask = load_mask(self.write(tmp_path))
+        np.testing.assert_array_equal(mask.keep, [True, False])
 
-    def test_repeated_dim_index(self, tmp_path):
-        path = self.write(
-            tmp_path, "latent_dim\t3\nthreshold\t0.1\ndim\timportance\tkeep\n"
-            + self.rows(0, 1, 1),
-        )
-        with pytest.raises(ValueError, match="bad_mask.txt"):
+    def test_repeated_array_name(self, tmp_path):
+        path = self.write(tmp_path)
+        raw = path.read_bytes()
+        hlen = int.from_bytes(raw[8:12], "little")
+        header = json.loads(raw[12 : 12 + hlen])
+        header["arrays"] = [["keep", [2]], ["keep", [2]]]
+        blob = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
+        with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)
 
-    @pytest.mark.parametrize("header", ["latent_dim\t2\n", "threshold\t0.1\n"])
-    def test_missing_header_line(self, tmp_path, header):
-        path = self.write(tmp_path, header + "dim\timportance\tkeep\n" + self.rows(0, 1))
-        with pytest.raises(ValueError, match="bad_mask.txt"):
+    @pytest.mark.parametrize("entry", ["importance", "threshold_used"])
+    def test_missing_entry(self, tmp_path, entry):
+        if entry == "importance":
+            path = self.write(tmp_path, keep=np.array([1.0, 0.0]))
+        else:
+            path = self.write(tmp_path, header={"kind": "mask", "fallback_used": False})
+        with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)
 
-    @pytest.mark.parametrize("dim", [2, -1])
-    def test_out_of_range_dim_index(self, tmp_path, dim):
-        path = self.write(
-            tmp_path, "latent_dim\t2\nthreshold\t0.1\ndim\timportance\tkeep\n"
-            + self.rows(0, dim),
-        )
-        with pytest.raises(ValueError, match="bad_mask.txt"):
+    @pytest.mark.parametrize("flag", [2, -1])
+    def test_keep_flag_not_zero_or_one(self, tmp_path, flag):
+        path = self.write(tmp_path, keep=np.array([1.0, flag]), importance=np.ones(2))
+        with pytest.raises(ValueError, match="bad_mask.bin"):
+            load_mask(path)
+
+    def test_keeps_no_dimension(self, tmp_path):
+        path = self.write(tmp_path, keep=np.zeros(2), importance=np.ones(2))
+        with pytest.raises(ValueError, match="bad_mask.bin"):
+            load_mask(path)
+
+    def test_keep_and_importance_lengths_differ(self, tmp_path):
+        path = self.write(tmp_path, keep=np.ones(2), importance=np.ones(3))
+        with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)

@@ -14,8 +14,10 @@ from minreal.nets import (
     cb_log_prob_t,
     gaussian_log_prob_t,
     load_checkpoint,
+    param_arrays,
     reparam_sample,
     save_checkpoint,
+    set_params,
 )
 from minreal.tsallis import DiagGaussian, gaussian_log_prob
 from test_autodiff import fd_grad
@@ -50,7 +52,7 @@ class TestGaussianLogProb:
         x = rng.normal(size=5)
         dist = DiagGaussian(mu, ls)
         graph = gaussian_log_prob_t(mu[None, :], ls[None, :], x[None, :])
-        assert gaussian_log_prob(dist, x) == pytest.approx(float(graph.data[0]), rel=1e-12)
+        assert gaussian_log_prob(dist.mean, dist.log_std, x) == pytest.approx(float(graph.data[0]), rel=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
@@ -197,23 +199,25 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         net = Mlp(MlpSpec((4, 7, 3)), seed=11)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(path, {"kind": "test", "spec": net.spec.to_dict()}, net.state_arrays())
-        header, arrays = load_checkpoint(path)
+        save_checkpoint(path, {"kind": "test", "spec": net.spec.to_dict()},
+                        param_arrays({"net": net}))
+        header, arrays = load_checkpoint(path, "test")
         assert header["kind"] == "test"
+        assert list(arrays) == ["net.w0", "net.b0", "net.w1", "net.b1"]
         restored = Mlp(MlpSpec.from_dict(header["spec"]), seed=0)
-        restored.load_arrays(arrays)
+        set_params({"net": restored}, arrays)
         for a, b in zip(net.params, restored.params):
             assert a.data.tobytes() == b.data.tobytes()
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"
         path.write_bytes(b"not a checkpoint")
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
+        with pytest.raises(ValueError, match="junk.bin"):
+            load_checkpoint(path, "test")
 
     def test_file_bytes_deterministic(self, tmp_path):
         net = Mlp(MlpSpec((3, 5, 2)), seed=4)
         p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-        save_checkpoint(p1, {"kind": "x"}, net.state_arrays())
-        save_checkpoint(p2, {"kind": "x"}, net.state_arrays())
+        save_checkpoint(p1, {"kind": "x"}, param_arrays({"net": net}))
+        save_checkpoint(p2, {"kind": "x"}, param_arrays({"net": net}))
         assert p1.read_bytes() == p2.read_bytes()

@@ -248,7 +248,7 @@ class TestTsallisDivergence:
 class TestGaussianLogProb:
     def test_standard_normal_at_zero(self):
         p = DiagGaussian(np.zeros(1), np.zeros(1))
-        assert gaussian_log_prob(p, np.zeros(1)) == pytest.approx(
+        assert gaussian_log_prob(p.mean, p.log_std, np.zeros(1)) == pytest.approx(
             -0.9189385332046727, abs=1e-12
         )
 
@@ -258,7 +258,7 @@ class TestGaussianLogProb:
         ls = rng.uniform(-1, 1, 4)
         p = DiagGaussian(mu, ls)
         expected = -ls.sum() - 2.0 * np.log(2 * np.pi)
-        assert gaussian_log_prob(p, mu) == pytest.approx(expected, rel=1e-12)
+        assert gaussian_log_prob(p.mean, p.log_std, mu) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDiagGaussian:
