@@ -3,28 +3,18 @@ learned world models, and CEM planning on a toy dot-reacher environment."""
 
 from .tsallis import (
     DiagGaussian,
-    LatentBelief,
     QParams,
     SparsityReport,
     check_sparsity_condition,
-    pseudo_add,
-    q_exp,
     q_log,
-    q_log_from_log,
-    tsallis_kl_diag_gaussian,
 )
 
 __all__ = [
     "DiagGaussian",
-    "LatentBelief",
     "QParams",
     "SparsityReport",
     "check_sparsity_condition",
-    "pseudo_add",
-    "q_exp",
     "q_log",
-    "q_log_from_log",
-    "tsallis_kl_diag_gaussian",
 ]
 
 __version__ = "0.1.0"

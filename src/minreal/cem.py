@@ -156,11 +156,11 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
         )
     best_score = -np.inf
     iters = 0
+    budget = config.time_budget
     for _ in range(config.max_iters):
-        if config.time_budget is not None and iters > 0:
-            if time.perf_counter() - start >= config.time_budget:
-                break
-        if config.time_budget is not None and config.time_budget <= 0.0:
+        # A budget <= 0 allows no iteration; a positive one at least one.
+        if (budget is not None and (iters > 0 or budget <= 0.0)
+                and time.perf_counter() - start >= budget):
             break
         candidates = sample_candidates(policy, config.candidates, config.action_low,
                                        config.action_high, rng)

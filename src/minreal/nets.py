@@ -2,11 +2,12 @@
 log-likelihoods, reparameterized sampling, and the artifact container that
 every saved model, dataset and mask uses.
 
-Networks come in two flavors per instance: forward() records the autodiff
-graph for training; forward_np() is the tape-free inference path used for
-dataset encoding and planning. The two compute the same function and agree to
-rounding: the graph path's swish and layer norm multiply by a reciprocal where
-the tape-free path divides.
+Every hidden layer is dense, then the activation (swish or tanh), then layer
+normalization without an affine part. Networks come in two flavors per
+instance: forward() records the autodiff graph for training; forward_np() is
+the tape-free inference path used for dataset encoding and planning. The two
+compute the same function and agree to rounding: the graph path's swish and
+layer norm multiply by a reciprocal where the tape-free path divides.
 """
 
 from __future__ import annotations
@@ -20,27 +21,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, MissingArtifact, TrainingAbort
-from .tsallis import LOG_STD_MAX, LOG_STD_MIN
+from .tsallis import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 _MAGIC = b"MRCKPT02"
 
 ACTIVATIONS = ("swish", "tanh")
-NORMALIZATIONS = ("layer_norm", "none")
-NORM_POSITIONS = ("post", "pre")
 
 
 @dataclasses.dataclass(frozen=True)
 class MlpSpec:
     """Fully-connected architecture: the complete width chain (input,
-    hidden..., output), hidden activation, and optional layer normalization
-    whose placement relative to the activation is configurable."""
+    hidden..., output) and the hidden activation. Each hidden layer computes
+    layer_norm(activation(h @ W + b)); the output layer is linear."""
 
     layer_widths: tuple
     activation: str = "swish"
-    normalization: str = "layer_norm"
-    norm_position: str = "post"
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
@@ -52,10 +49,6 @@ class MlpSpec:
             raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
-        if self.normalization not in NORMALIZATIONS:
-            raise ConfigError(f"unknown normalization {self.normalization!r}")
-        if self.norm_position not in NORM_POSITIONS:
-            raise ConfigError(f"unknown norm_position {self.norm_position!r}")
 
     @property
     def in_dim(self):
@@ -66,21 +59,8 @@ class MlpSpec:
         return self.layer_widths[-1]
 
     def to_dict(self):
-        return {
-            "layer_widths": list(self.layer_widths),
-            "activation": self.activation,
-            "normalization": self.normalization,
-            "norm_position": self.norm_position,
-        }
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(
-            layer_widths=tuple(d["layer_widths"]),
-            activation=d["activation"],
-            normalization=d["normalization"],
-            norm_position=d.get("norm_position", "post"),
-        )
+        """Header form; MlpSpec(**d) reads it back and rejects unknown keys."""
+        return {"layer_widths": list(self.layer_widths), "activation": self.activation}
 
 
 class Mlp:
@@ -108,20 +88,11 @@ class Mlp:
         return sum(p.data.size for p in self.params)
 
     def _hidden(self, h, is_graph):
-        spec = self.spec
         if is_graph:
-            act = ad.swish if spec.activation == "swish" else ad.tanh
-            if spec.normalization == "layer_norm":
-                if spec.norm_position == "pre":
-                    return act(ad.layer_norm(h))
-                return ad.layer_norm(act(h))
-            return act(h)
-        act = _swish_np if spec.activation == "swish" else np.tanh
-        if spec.normalization == "layer_norm":
-            if spec.norm_position == "pre":
-                return act(_layer_norm_np(h), out=h)
-            return _layer_norm_np(act(h, out=h))
-        return act(h, out=h)
+            act = ad.swish if self.spec.activation == "swish" else ad.tanh
+            return ad.layer_norm(act(h))
+        act = _swish_np if self.spec.activation == "swish" else np.tanh
+        return _layer_norm_np(act(h, out=h))
 
     def forward(self, x) -> ad.Tensor:
         """Graph-recording forward pass; x is (batch, in_dim)."""
@@ -338,10 +309,6 @@ def cb_log_prob_t(lam, x) -> ad.Tensor:
 
 def clamp_log_std_t(log_std) -> ad.Tensor:
     return ad.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-
-
-def clamp_log_std_np(log_std):
-    return np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 # --- the artifact container ------------------------------------------------

@@ -6,10 +6,11 @@ The objective maximized per sample z ~ p(z|x) is
     p(z)^(1-q) * sum_c zeta_c * p(x_<c|z)^(1-q_<c) * ln_{q_c} p(x_c|z)
     + beta * ln_q p(z) - gamma * ln_q p(z|x)
 
-with every likelihood power formed as exp((1-q_j) * log p_j) under a shared
-exponent clamp, and gradients kept through all factors. At q = 1 (with
-gamma = beta) this is exactly the beta-VAE objective, so the standard and
-beta baselines are the q = 1 branch of the same code path.
+with every likelihood power formed as exp((1-q_j) * log p_j) under one
+exponent clamp (tsallis.MAX_EXPONENT), and gradients kept through all
+factors. At q = 1 every ln_q is the natural log and every power is 1, so
+(with gamma = beta) this is exactly the beta-VAE objective: the standard and
+beta baselines run through the same code path.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from .nets import (
     set_params,
 )
 from .tsallis import (
-    DEFAULT_MAX_EXPONENT,
-    LatentBelief,
+    MAX_EXPONENT,
+    DiagGaussian,
     QParams,
     check_sparsity_condition,
     gaussian_log_prob,
@@ -144,11 +145,11 @@ class QvaeModel:
 
     # -- inference (tape-free) ------------------------------------------
 
-    def encode(self, x) -> LatentBelief:
+    def encode(self, x) -> DiagGaussian:
         """Posterior belief over the latent space; deterministic."""
         x, _ = self.split_observation(x)
         out = self.encoder.forward_np(x)
-        return LatentBelief(
+        return DiagGaussian(
             mean=out[:, : self.latent_dim], log_std=out[:, self.latent_dim :]
         )
 
@@ -210,7 +211,7 @@ def recon_mse(model: QvaeModel, x) -> float:
     return float(np.mean((recon - x) ** 2))
 
 
-def _bracket_values(logps, qparams: QParams, max_exponent):
+def _bracket_values(logps, qparams: QParams):
     """Per-sample bracketed reconstruction quantity (q < 1 only).
 
     logps: list of (B,) arrays of per-class log likelihoods.
@@ -225,15 +226,14 @@ def _bracket_values(logps, qparams: QParams, max_exponent):
     for c in range(1, n + 1):
         gap = zs[c - 1] / (1.0 - qs[c - 1]) - zs[c] / (1.0 - qs[c])
         out += np.exp(log_prefix) * gap
-        log_prefix = log_prefix + np.minimum((1.0 - qs[c]) * logps[c - 1], max_exponent)
+        log_prefix = log_prefix + np.minimum((1.0 - qs[c]) * logps[c - 1], MAX_EXPONENT)
     out += zs[n] / (1.0 - qs[n]) * np.exp(log_prefix)
     return out
 
 
-def bracket_term(model: QvaeModel, x, z, qparams=None, max_exponent=DEFAULT_MAX_EXPONENT):
+def bracket_term(model: QvaeModel, x, z):
     """Evaluate the bracketed quantity at given observations and latents."""
-    qparams = qparams or model.qparams
-    if qparams.q == 1.0:
+    if model.qparams.q == 1.0:
         raise ConfigError("the bracket is defined only for q < 1")
     _, blocks = model.split_observation(x)
     z = np.asarray(z, dtype=np.float64)
@@ -246,31 +246,29 @@ def bracket_term(model: QvaeModel, x, z, qparams=None, max_exponent=DEFAULT_MAX_
         else:
             lp = np.atleast_1d(cb_log_prob(params, blocks[i]))
         logps.append(lp)
-    return _bracket_values(logps, qparams, max_exponent)
+    return _bracket_values(logps, model.qparams)
 
 
-def qvae_loss(
-    model: QvaeModel,
-    x,
-    noise,
-    qparams: QParams = None,
-    unsafe=False,
-    max_exponent=DEFAULT_MAX_EXPONENT,
-):
-    """Monte-Carlo estimate (one z per datum) of minus the objective.
+def _q_log_t(log_p, q):
+    """ln_q p from log p in the graph, the exponent (1-q) log p clamped from
+    above at MAX_EXPONENT. Returns (ln_q p, the clamped exponent, the number
+    of clamped entries); (log_p, None, 0) at q = 1."""
+    if q == 1.0:
+        return log_p, None, 0
+    u = ad.clip(ad.scale(log_p, 1.0 - q), None, MAX_EXPONENT)
+    saturated = int(np.count_nonzero((1.0 - q) * log_p.data > MAX_EXPONENT))
+    return ad.scale(ad.expm1(u), 1.0 / (1.0 - q)), u, saturated
 
-    Returns (loss tensor, LossBreakdown). Raises ConfigError when the
-    sparsification condition fails (unless unsafe=True, which also disables
-    the bracket assertion) and TrainingAbort on non-finite values.
+
+def qvae_loss(model: QvaeModel, x, noise):
+    """Monte-Carlo estimate (one z per datum) of minus the objective under
+    model.qparams.
+
+    Returns (loss tensor, LossBreakdown). Raises TrainingAbort when the
+    bracket goes negative (q < 1) and on non-finite values. The sparsity
+    condition that keeps the bracket non-negative is checked by train_qvae.
     """
-    qparams = qparams or model.qparams
-    report = check_sparsity_condition(qparams)
-    if not report.satisfied and not unsafe:
-        raise ConfigError(
-            "sparsification condition violated: chain "
-            f"{tuple(round(v, 6) for v in report.chain)} must be nonincreasing; "
-            "pass unsafe=True to train anyway"
-        )
+    qparams = model.qparams
     x, blocks = model.split_observation(x)
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
@@ -287,43 +285,29 @@ def qvae_loss(
         model._class_log_prob_graph(i, z_t, blocks[i]) for i in range(len(model.classes))
     ]
 
-    q = qparams.q
-    saturation = 0
-    if q == 1.0:
-        recon_terms = [ad.scale(lp, w) for lp, w in zip(log_pcs, qparams.class_weights)]
-        prior_t = ad.scale(log_pz, qparams.beta)
-        entropy_t = ad.scale(log_pzx, -qparams.gamma)
-        bracket_min = float("nan")
-    else:
-        u_pz = ad.clip(ad.scale(log_pz, 1.0 - q), None, max_exponent)
-        pz_pow = ad.exp(u_pz)
-        lnq_pz = ad.scale(ad.expm1(u_pz), 1.0 / (1.0 - q))
-        u_pzx = ad.clip(ad.scale(log_pzx, 1.0 - q), None, max_exponent)
-        lnq_pzx = ad.scale(ad.expm1(u_pzx), 1.0 / (1.0 - q))
-        saturation += int(np.count_nonzero((1.0 - q) * log_pz.data > max_exponent))
-        saturation += int(np.count_nonzero((1.0 - q) * log_pzx.data > max_exponent))
+    lnq_pz, u_pz, saturation = _q_log_t(log_pz, qparams.q)
+    lnq_pzx, _, saturated = _q_log_t(log_pzx, qparams.q)
+    saturation += saturated
+    pz_pow = None if u_pz is None else ad.exp(u_pz)  # p(z)^(1-q); None while it is 1
+    recon_terms = []
+    prefix_t = None  # p(x_<c|z)^(1-q_<c), running product; None while it is 1
+    for c, (lp, qc, w) in enumerate(zip(log_pcs, qparams.class_qs, qparams.class_weights)):
+        lnq_c, u_c, saturated = _q_log_t(lp, qc)
+        saturation += saturated
+        term = ad.scale(lnq_c, w)
+        if prefix_t is not None:
+            term = ad.mul(prefix_t, term)
+        recon_terms.append(term if pz_pow is None else ad.mul(pz_pow, term))
+        if u_c is not None and c + 1 < len(log_pcs):
+            pow_c = ad.exp(u_c)
+            prefix_t = pow_c if prefix_t is None else ad.mul(prefix_t, pow_c)
+    prior_t = ad.scale(lnq_pz, qparams.beta)
+    entropy_t = ad.scale(lnq_pzx, -qparams.gamma)
 
-        recon_terms = []
-        prefix_t = None  # p(x_<c|z)^(1-q_<c), running product
-        for c, (lp, qc, w) in enumerate(
-            zip(log_pcs, qparams.class_qs, qparams.class_weights)
-        ):
-            u_c = ad.clip(ad.scale(lp, 1.0 - qc), None, max_exponent)
-            saturation += int(np.count_nonzero((1.0 - qc) * lp.data > max_exponent))
-            lnq_c = ad.scale(ad.expm1(u_c), 1.0 / (1.0 - qc))
-            term = ad.scale(lnq_c, w)
-            if prefix_t is not None:
-                term = ad.mul(prefix_t, term)
-            recon_terms.append(ad.mul(pz_pow, term))
-            if c + 1 < len(log_pcs):
-                pow_c = ad.exp(u_c)
-                prefix_t = pow_c if prefix_t is None else ad.mul(prefix_t, pow_c)
-        prior_t = ad.scale(lnq_pz, qparams.beta)
-        entropy_t = ad.scale(lnq_pzx, -qparams.gamma)
-
-        bracket = _bracket_values([lp.data for lp in log_pcs], qparams, max_exponent)
-        bracket_min = float(bracket.min())
-        if report.satisfied and not unsafe and bracket_min < 0.0:
+    bracket_min = float("nan")
+    if qparams.q < 1.0:
+        bracket_min = float(_bracket_values([lp.data for lp in log_pcs], qparams).min())
+        if bracket_min < 0.0:
             raise TrainingAbort(
                 f"non-negativity bracket violated: min {bracket_min}",
                 diagnostics={"bracket_min": bracket_min},
@@ -362,8 +346,6 @@ class TrainConfig:
     batch_size: int = 256
     seed: int = 0
     learning_rate: float = 1e-3
-    unsafe: bool = False
-    max_exponent: float = DEFAULT_MAX_EXPONENT
 
 
 def _format_log_row(values):
@@ -380,10 +362,10 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
     if x_data.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
     report = check_sparsity_condition(model.qparams)
-    if not report.satisfied and not cfg.unsafe:
+    if not report.satisfied:
         raise ConfigError(
-            f"sparsification condition violated: chain {report.chain}; "
-            "use the unsafe flag to override"
+            f"sparsification condition violated: chain {report.chain} "
+            "must be nonincreasing"
         )
 
     params = model.parameters()
@@ -413,10 +395,7 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
                 batch = x_data[idx]
                 noise = rng.standard_normal((idx.size, model.latent_dim))
                 try:
-                    loss, bd = qvae_loss(
-                        model, batch, noise, unsafe=cfg.unsafe,
-                        max_exponent=cfg.max_exponent,
-                    )
+                    loss, bd = qvae_loss(model, batch, noise)
                 except TrainingAbort as exc:
                     exc.diagnostics["epoch"] = epoch
                     raise
@@ -470,12 +449,9 @@ def build_qvae(
     qparams: QParams,
     encoder_hidden=(128, 64),
     decoder_hidden=None,
-    activation="swish",
-    normalization="layer_norm",
-    norm_position="post",
     seed=0,
 ) -> QvaeModel:
-    """Construct encoder/decoder networks for the class layout.
+    """Construct swish encoder/decoder networks for the class layout.
 
     decoder_hidden is one width tuple per class; defaults to the reversed
     encoder widths for every class.
@@ -485,23 +461,11 @@ def build_qvae(
     if decoder_hidden is None:
         decoder_hidden = [tuple(reversed(encoder_hidden))] * len(classes)
     seeds = np.random.SeedSequence(seed).spawn(1 + len(classes))
-    enc_spec = MlpSpec(
-        (obs_dim, *encoder_hidden, 2 * latent_dim),
-        activation=activation,
-        normalization=normalization,
-        norm_position=norm_position,
-    )
-    encoder = Mlp(enc_spec, seed=seeds[0])
+    encoder = Mlp(MlpSpec((obs_dim, *encoder_hidden, 2 * latent_dim)), seed=seeds[0])
     decoders = []
     for cls, hidden, ss in zip(classes, decoder_hidden, seeds[1:]):
         out = 2 * cls.width if cls.kind == "diag_gaussian" else cls.width
-        spec = MlpSpec(
-            (latent_dim, *hidden, out),
-            activation=activation,
-            normalization=normalization,
-            norm_position=norm_position,
-        )
-        decoders.append(Mlp(spec, seed=ss))
+        decoders.append(Mlp(MlpSpec((latent_dim, *hidden, out)), seed=ss))
     return QvaeModel(classes, latent_dim, encoder, decoders, qparams)
 
 
@@ -538,8 +502,8 @@ def load_qvae(path) -> QvaeModel:
     try:
         classes = tuple(ObservationClass(**c) for c in header["classes"])
         qparams = QParams(**header["qparams"])
-        encoder = Mlp(MlpSpec.from_dict(header["encoder"]), seed=0)
-        decoders = [Mlp(MlpSpec.from_dict(d), seed=0) for d in header["decoders"]]
+        encoder = Mlp(MlpSpec(**header["encoder"]), seed=0)
+        decoders = [Mlp(MlpSpec(**d), seed=0) for d in header["decoders"]]
         model = QvaeModel(classes, header["latent_dim"], encoder, decoders, qparams)
         set_params(_nets(model), arrays)
     except (KeyError, TypeError, ValueError) as exc:

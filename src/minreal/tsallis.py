@@ -1,10 +1,12 @@
-"""q-deformed logarithm/exponential, closed-form Tsallis divergence between
-diagonal Gaussians, and the hyperparameter condition that guarantees the
-sparsifying reconstruction bracket stays non-negative.
+"""The q-deformed logarithm, the diagonal Gaussian with its numpy
+log-density and log-std clamp, the hyperparameters of the deformed
+objective, and the condition on them that keeps the sparsifying
+reconstruction bracket non-negative.
 
-All functions are pure and accept scalars or numpy arrays (float64
-throughout). The q = 1 case is always an exact natural-log branch, never a
-numerical limit, so everything degrades to the standard (beta-)VAE exactly.
+Functions accept scalars or numpy arrays (float64 throughout). q_log at
+q = 1 is the exact natural log, never a numerical limit. The graph-side ln_q
+the loss uses lives in qvae, which clamps the exponent (1-q)*log p at
+MAX_EXPONENT before exp(); q_log here is its test oracle.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from .errors import ConfigError
 LOG_STD_MIN = -6.0
 LOG_STD_MAX = 2.0
 
-# Default clamp for exponents of the form (1-q)*log p before exp();
-# saturation is counted by callers so silent clipping is observable.
-DEFAULT_MAX_EXPONENT = 50.0
+# Clamp for exponents of the form (1-q)*log p before exp(); the loss counts
+# saturated entries so silent clipping is observable.
+MAX_EXPONENT = 50.0
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -35,10 +37,12 @@ def _as_float_array(x, name):
     return arr
 
 
-def _scalar_or_array(result, *inputs):
-    if all(np.ndim(v) == 0 for v in inputs):
-        return float(result)
-    return result
+def _scalar_or_array(result, x):
+    return float(result) if np.ndim(x) == 0 else result
+
+
+def clamp_log_std_np(log_std):
+    return np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,9 +64,7 @@ class DiagGaussian:
                 f"mean shape {mean.shape} != log_std shape {log_std.shape}"
             )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(
-            self, "log_std", np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-        )
+        object.__setattr__(self, "log_std", clamp_log_std_np(log_std))
 
     @property
     def std(self):
@@ -71,10 +73,6 @@ class DiagGaussian:
     @property
     def dim(self):
         return self.mean.shape[-1]
-
-
-# The encoder's posterior over the latent space is exactly a DiagGaussian.
-LatentBelief = DiagGaussian
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,50 +151,6 @@ def q_log(x, q):
     return _scalar_or_array(out, x)
 
 
-def q_log_from_log(ell, q, max_exponent=DEFAULT_MAX_EXPONENT):
-    """ln_q(p) computed from ell = ln(p) without ever forming p.
-
-    The exponent (1-q)*ell is clamped from above at max_exponent; use
-    exponent_saturation_count to detect clamping. Exact ell at q = 1.
-    """
-    arr = _as_float_array(ell, "ell")
-    if q == 1.0:
-        return _scalar_or_array(arr.copy(), ell)
-    u = np.minimum((1.0 - q) * arr, max_exponent)
-    out = np.expm1(u) / (1.0 - q)
-    return _scalar_or_array(out, ell)
-
-
-def exponent_saturation_count(ell, q, max_exponent=DEFAULT_MAX_EXPONENT):
-    """Number of entries of (1-q)*ell that q_log_from_log would clamp."""
-    arr = _as_float_array(ell, "ell")
-    if q == 1.0:
-        return 0
-    return int(np.count_nonzero((1.0 - q) * arr > max_exponent))
-
-
-def q_exp(y, q):
-    """Inverse of q_log: exp(y) at q = 1, else (1 + (1-q) y)^(1/(1-q))."""
-    arr = _as_float_array(y, "y")
-    if q == 1.0:
-        return _scalar_or_array(np.exp(arr), y)
-    base = 1.0 + (1.0 - q) * arr
-    if np.any(base <= 0.0):
-        raise ValueError(
-            f"q_exp requires 1 + (1-q) y > 0; got y={y!r} with q={q}"
-        )
-    out = np.exp(np.log(base) / (1.0 - q))
-    return _scalar_or_array(out, y)
-
-
-def pseudo_add(lq1, lq2, q):
-    """Deformed product rule: ln_q(ab) from ln_q(a) and ln_q(b)."""
-    a = _as_float_array(lq1, "lq1")
-    b = _as_float_array(lq2, "lq2")
-    out = a + b + (1.0 - q) * a * b
-    return _scalar_or_array(out, lq1, lq2)
-
-
 def gaussian_log_prob(mean, log_std, x):
     """Log density of a diagonal Gaussian with the given mean and log std,
     summed over the last axis. The one numpy copy; the graph version is
@@ -206,50 +160,6 @@ def gaussian_log_prob(mean, log_std, x):
     if out.ndim == 0:
         return float(out)
     return out
-
-
-def standard_kl_diag_gaussian(p1: DiagGaussian, p2: DiagGaussian):
-    """KL(p1 || p2) for diagonal Gaussians (the q = 1 branch)."""
-    if p1.mean.shape != p2.mean.shape:
-        raise ValueError("dimension mismatch between p1 and p2")
-    var1 = np.exp(2.0 * p1.log_std)
-    var2 = np.exp(2.0 * p2.log_std)
-    per_dim = (
-        p2.log_std
-        - p1.log_std
-        + (var1 + (p1.mean - p2.mean) ** 2) / (2.0 * var2)
-        - 0.5
-    )
-    return float(np.sum(per_dim))
-
-
-def tsallis_kl_diag_gaussian(p1: DiagGaussian, p2: DiagGaussian, q):
-    """Closed-form Tsallis divergence -E_{p1}[ln_q(p2/p1)] between diagonal
-    Gaussians, for 0 < q <= 1.
-
-    Derived by Gaussian integral completion:
-        KL_q = (1 - prod_d I_d) / (1 - q)
-        I_d  = sigma1^(1-q) * sigma2^q / sbar
-               * exp(-q (1-q) (mu1 - mu2)^2 / (2 sbar^2))
-        sbar^2 = q * sigma2^2 + (1-q) * sigma1^2
-    The quadrature oracle in the test suite gates this closed form.
-    """
-    if p1.mean.shape != p2.mean.shape:
-        raise ValueError("dimension mismatch between p1 and p2")
-    if not (0.0 < q <= 1.0):
-        raise ValueError(f"q must be in (0, 1], got {q}")
-    if q == 1.0:
-        return standard_kl_diag_gaussian(p1, p2)
-    s1 = p1.std
-    s2 = p2.std
-    sbar2 = q * s2 * s2 + (1.0 - q) * s1 * s1
-    log_i = (
-        (1.0 - q) * p1.log_std
-        + q * p2.log_std
-        - 0.5 * np.log(sbar2)
-        - q * (1.0 - q) * (p1.mean - p2.mean) ** 2 / (2.0 * sbar2)
-    )
-    return float(-np.expm1(np.sum(log_i)) / (1.0 - q))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -42,8 +42,8 @@ ROLLOUT_BLOCK_ROWS = 1024
 HIDDEN_SCALE = 4
 
 
-def default_hidden(state_dim, action_dim, scale=HIDDEN_SCALE):
-    w = scale * (state_dim + action_dim)
+def default_hidden(state_dim, action_dim):
+    w = HIDDEN_SCALE * (state_dim + action_dim)
     return (w, w)
 
 
@@ -94,34 +94,16 @@ class WorldModel:
         return self.reward.forward_np(self._join(s, a))[:, 0]
 
 
-def build_world_model(
-    state_dim,
-    action_dim,
-    dyn_hidden=None,
-    rew_hidden=None,
-    activation="tanh",
-    normalization="layer_norm",
-    seed=0,
-) -> WorldModel:
+def build_world_model(state_dim, action_dim, dyn_hidden=None, rew_hidden=None,
+                      seed=0) -> WorldModel:
+    """Dynamics and reward networks with tanh hidden layers; hidden widths
+    default to default_hidden(state_dim, action_dim)."""
     dyn_hidden = dyn_hidden or default_hidden(state_dim, action_dim)
     rew_hidden = rew_hidden or default_hidden(state_dim, action_dim)
     s_dyn, s_rew = np.random.SeedSequence(seed).spawn(2)
-    dyn = Mlp(
-        MlpSpec(
-            (state_dim + action_dim, *dyn_hidden, 2 * state_dim),
-            activation=activation,
-            normalization=normalization,
-        ),
-        seed=s_dyn,
-    )
-    rew = Mlp(
-        MlpSpec(
-            (state_dim + action_dim, *rew_hidden, 2),
-            activation=activation,
-            normalization=normalization,
-        ),
-        seed=s_rew,
-    )
+    width_in = state_dim + action_dim
+    dyn = Mlp(MlpSpec((width_in, *dyn_hidden, 2 * state_dim), activation="tanh"), seed=s_dyn)
+    rew = Mlp(MlpSpec((width_in, *rew_hidden, 2), activation="tanh"), seed=s_rew)
     return WorldModel(state_dim, action_dim, dyn, rew)
 
 
@@ -214,8 +196,9 @@ def heldout_nll(model: WorldModel, ds: WorldDataset, dims=None):
     return dyn_nll + rew_nll, dyn_nll, rew_nll
 
 
-def rollout(model, s0, actions, sample=False, rng=None):
-    """Propagate dynamics means from s0 under an action sequence.
+def rollout(model, s0, actions):
+    """Propagate dynamics means from s0 under one action sequence, a step at
+    a time: the straight-line reference that tests hold rollout_batch to.
 
     Returns (states, reward_means), one entry per action: states[t] follows
     actions[t], and rewards[t] is evaluated at the pre-transition pair
@@ -234,11 +217,7 @@ def rollout(model, s0, actions, sample=False, rng=None):
     for t in range(h):
         a = actions[t : t + 1]
         rewards[t] = float(model.reward_mean(s, a)[0])
-        if sample:
-            mean, log_std = model.dynamics_params(s, a)
-            s = mean + np.exp(log_std) * rng.standard_normal(mean.shape)
-        else:
-            s = np.atleast_2d(model.dynamics_mean(s, a))
+        s = np.atleast_2d(model.dynamics_mean(s, a))
         states[t] = s[0]
         if not np.isfinite(rewards[t]):
             states[t:] = np.nan
@@ -404,8 +383,8 @@ def load_world(path) -> WorldModel:
     describe a model."""
     header, arrays = load_checkpoint(path, "world")
     try:
-        dyn = Mlp(MlpSpec.from_dict(header["dynamics"]), seed=0)
-        rew = Mlp(MlpSpec.from_dict(header["reward"]), seed=0)
+        dyn = Mlp(MlpSpec(**header["dynamics"]), seed=0)
+        rew = Mlp(MlpSpec(**header["reward"]), seed=0)
         model = WorldModel(header["state_dim"], header["action_dim"], dyn, rew)
         set_params(_nets(model), arrays)
     except (KeyError, TypeError, ValueError) as exc:

@@ -166,6 +166,19 @@ def test_array_missing(artifact):
         load(path)
 
 
+@pytest.mark.parametrize("kind, net", [("qvae", "encoder"), ("world", "dynamics")])
+@pytest.mark.parametrize("key, value", [("normalization", "none"),
+                                        ("norm_position", "pre"), ("dropout", 0.1)])
+def test_network_spec_with_unknown_key(tmp_path, kind, net, key, value):
+    # a spec field this code does not know would build a different network
+    save, load = KINDS[kind]
+    path = tmp_path / f"{kind}.art"
+    save(path)
+    magic, header, payload = split(path.read_bytes())
+    header[net][key] = value
+    rejects(path, load, join(magic, header, payload), key)
+
+
 @pytest.mark.parametrize("kind", DATA_KINDS)
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_data(tmp_path, kind, value):

@@ -204,7 +204,7 @@ class TestCheckpoint:
         header, arrays = load_checkpoint(path, "test")
         assert header["kind"] == "test"
         assert list(arrays) == ["net.w0", "net.b0", "net.w1", "net.b1"]
-        restored = Mlp(MlpSpec.from_dict(header["spec"]), seed=0)
+        restored = Mlp(MlpSpec(**header["spec"]), seed=0)
         set_params({"net": restored}, arrays)
         for a, b in zip(net.params, restored.params):
             assert a.data.tobytes() == b.data.tobytes()

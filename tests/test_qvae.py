@@ -11,6 +11,7 @@ from minreal.qvae import (
     ObservationClass,
     QvaeModel,
     TrainConfig,
+    _q_log_t,
     bracket_term,
     build_qvae,
     load_qvae,
@@ -64,10 +65,9 @@ def mlp_forward_oracle(net, x):
                 h = h / (1.0 + np.exp(-h))
             else:
                 h = np.tanh(h)
-            if net.spec.normalization == "layer_norm":
-                mu = h.mean(axis=-1, keepdims=True)
-                xc = h - mu
-                h = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
+            mu = h.mean(axis=-1, keepdims=True)
+            xc = h - mu
+            h = xc / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-5)
     return h
 
 
@@ -250,14 +250,41 @@ class TestLoss:
             assert bd.bracket_min >= 0.0
 
     def test_condition_violation_raises(self):
+        # beta = 5 < 50 breaks the chain (train_qvae refuses it up front); far
+        # proprio data then drive the bracket to about -900, which the loss
+        # always checks for q < 1
         bad = QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0),
                       beta=5.0, gamma=3.0)
         model = tiny_model(qparams=bad, seed=12)
         x, noise = tiny_batch(model, 4, seed=8)
-        with pytest.raises(ConfigError):
+        x[:, :2] = 60.0
+        with pytest.raises(TrainingAbort, match="bracket"):
             qvae_loss(model, x, noise)
-        loss, _ = qvae_loss(model, x, noise, unsafe=True)
-        assert np.isfinite(loss.data)
+
+    def test_exponent_clamp_counts_saturation(self):
+        # one 24-wide Gaussian class, decoded exactly on the data with
+        # log-std -6: log p = 24 * (6 - log(2 pi) / 2) ~ 122, and
+        # (1 - q) * log p ~ 110 > 50 in every row
+        width, rows = 24, 5
+        qp = QParams(q=0.1, class_qs=(0.1,), class_weights=(1.0,), beta=1.0, gamma=1.0)
+        model = build_qvae((ObservationClass("proprio", "diag_gaussian", width),),
+                           latent_dim=3, qparams=qp, encoder_hidden=(6,),
+                           decoder_hidden=[(5,)], seed=24)
+        rng = np.random.default_rng(25)
+        data = rng.normal(size=width)
+        for net in (model.encoder, model.decoders[0]):
+            for p in net.params:
+                p.data = np.zeros_like(p.data)
+        # z = noise, so (1 - q) * log p(z) and (1 - q) * log p(z|x) stay < 0
+        model.decoders[0].params[-1].data = np.concatenate([data, np.full(width, -6.0)])
+        x = np.tile(data, (rows, 1))
+        noise = rng.standard_normal((rows, 3))
+        log_p = width * (6.0 - 0.5 * np.log(2 * np.pi))
+        assert (1 - 0.1) * log_p > 50.0
+        loss, bd = qvae_loss(model, x, noise)
+        oracle = straight_line_loss(model, x, noise, qp, max_exponent=50.0)
+        assert float(loss.data) == pytest.approx(oracle, rel=1e-12)
+        assert bd.saturation_count == rows
 
     def test_empty_batch_rejected(self):
         model = tiny_model(seed=13)
@@ -296,6 +323,38 @@ class TestLoss:
                 numeric = fd_grad(f, p.data.copy())
                 denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
                 assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+
+
+class TestQLogPath:
+    """The loss's one ln_q: ln_q p from log p, exponent clamped at 50."""
+
+    @staticmethod
+    def lnq(ell, q):
+        return _q_log_t(ad.constant(np.atleast_1d(ell)), q)[0].data
+
+    def test_zero_log(self):
+        assert self.lnq(0.0, 0.3)[0] == 0.0
+
+    def test_matches_q_log(self):
+        assert self.lnq(np.log(4.0), 0.5)[0] == pytest.approx(q_log(4.0, 0.5), rel=1e-12)
+
+    def test_large_log_extended_precision_value(self):
+        # (e^1 - 1)/0.001 evaluated with 50-digit arithmetic.
+        expected = 1718.2818284590452354
+        assert self.lnq(1000.0, 0.999)[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_q1_identity(self):
+        log_p = ad.constant(np.array([-123.4]))
+        out, u, saturated = _q_log_t(log_p, 1.0)
+        assert out is log_p and u is None and saturated == 0
+
+    def test_exponent_clamp_and_saturation(self):
+        # (1-q)*ell = 100 and 60 > 50: clamped and counted; 0 is not.
+        out, u, saturated = _q_log_t(ad.constant(np.array([1000.0, 0.0, 600.0])), 0.9)
+        np.testing.assert_allclose(out.data, [np.expm1(50.0) / 0.1, 0.0, np.expm1(50.0) / 0.1],
+                                   rtol=1e-12)
+        np.testing.assert_array_equal(u.data, [50.0, 0.0, 50.0])
+        assert saturated == 2
 
 
 class TestReconChain:

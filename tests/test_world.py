@@ -193,17 +193,6 @@ class TestRollout:
         )
         assert np.all(np.isfinite(scores[rest]))
 
-    def test_sampling_mode_uses_rng(self):
-        model = build_world_model(2, 2, seed=9)
-        actions = np.zeros((3, 2))
-        s_det, _ = rollout(model, np.zeros(2), actions)
-        s_a, _ = rollout(model, np.zeros(2), actions, sample=True,
-                         rng=np.random.default_rng(0))
-        s_b, _ = rollout(model, np.zeros(2), actions, sample=True,
-                         rng=np.random.default_rng(0))
-        assert not np.allclose(s_det, s_a)
-        np.testing.assert_array_equal(s_a, s_b)
-
 
 class TestEncodeDataset:
     def setup_method(self):
