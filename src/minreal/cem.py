@@ -71,10 +71,6 @@ class CemConfig:
             )
 
     @property
-    def n_elites(self):
-        return int(np.floor(self.elite_ratio * self.candidates))
-
-    @property
     def action_dim(self):
         return self.action_low.size
 

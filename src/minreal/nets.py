@@ -1,6 +1,7 @@
-"""Dense networks, the Adam optimizer, Gaussian and continuous-Bernoulli
-log-likelihoods, reparameterized sampling, and the artifact container that
-every saved model, dataset and mask uses.
+"""Dense networks, the Adam optimizer, the training loop both stages run
+(fit), Gaussian and continuous-Bernoulli log-likelihoods, reparameterized
+sampling, and the artifact container that every saved model, dataset and
+mask uses.
 
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Networks come in two flavors per
@@ -12,6 +13,7 @@ layer norm multiply by a reciprocal where the tape-free path divides.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -21,9 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, MissingArtifact, TrainingAbort
-from .tsallis import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
-
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+from .tsallis import _HALF_LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
 
 _MAGIC = b"MRCKPT02"
 
@@ -185,6 +185,46 @@ class Adam:
 
     def zero_grad(self):
         ad.zero_grads(self.params)
+
+
+def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=None,
+        save=None):
+    """The minibatch loop every training stage runs; returns the epoch records.
+
+    Each epoch draws rng.permutation(n), calls step(idx) on each batch of at
+    most batch_size of those indices in turn, and makes the epoch's record
+    with summarize(epoch, the list of step's returns). With log_path, each
+    record is appended to that file as one JSON line {"stage", "epoch",
+    "record"} (an object as its attribute dict, NaN as NaN) and flushed, so
+    the stages of a run can share one log. On TrainingAbort the parameters
+    are restored to their values after the last whole epoch (the start if
+    none finished), the exception's diagnostics get the epoch it arose in
+    (counted from 1) as "epoch", save() is called and the exception
+    re-raised. save() is also called after the last epoch.
+    """
+    records = []
+    last_good = [p.data.copy() for p in params]
+    with open(log_path, "a") if log_path else contextlib.nullcontext() as log:
+        try:
+            for epoch in range(1, epochs + 1):
+                order = rng.permutation(n)
+                outs = [step(order[i : i + batch_size]) for i in range(0, n, batch_size)]
+                records.append(summarize(epoch, outs))
+                last_good = [p.data.copy() for p in params]
+                if log:
+                    line = {"stage": stage, "epoch": epoch, "record": records[-1]}
+                    log.write(json.dumps(line, default=vars) + "\n")
+                    log.flush()
+        except TrainingAbort as exc:
+            for p, data in zip(params, last_good):
+                p.data = data
+            exc.diagnostics["epoch"] = epoch
+            if save:
+                save()
+            raise
+    if save:
+        save()
+    return records
 
 
 def gaussian_log_prob_t(mean, log_std, x) -> ad.Tensor:

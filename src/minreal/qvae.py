@@ -16,6 +16,7 @@ beta baselines run through the same code path.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .nets import (
     cb_log_prob_t,
     clamp_log_std_np,
     clamp_log_std_t,
+    fit,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -176,7 +178,6 @@ class QvaeModel:
     def reconstruct(self, x):
         """Point reconstruction through the encoder mean: decoder means for
         Gaussian classes, lambda for continuous-Bernoulli classes."""
-        _, _ = self.split_observation(x)
         belief = self.encode(x)
         parts = []
         for cls, params in zip(self.classes, self.decode(belief.mean)):
@@ -348,19 +349,19 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
 
-def _format_log_row(values):
-    return "\t".join(
-        f"{v:d}" if isinstance(v, (int, np.integer)) else f"{v:.17g}" for v in values
-    )
-
-
 def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_path=None):
-    """Deterministic minibatch training; returns one aggregate LossBreakdown
-    per epoch. Appends one record per epoch to log_path; writes a checkpoint
-    at the end, or the last good parameters if the loss goes non-finite."""
+    """Deterministic minibatch training through nets.fit; returns one
+    aggregate LossBreakdown per epoch (weighted means, the smallest bracket
+    and the summed saturation count). Each epoch's record is appended to
+    log_path as a JSON line of stage "qvae". The checkpoint at ckpt_path is
+    written after the last epoch, or on TrainingAbort with the parameters of
+    the last whole epoch before the abort is re-raised. Non-finite x_data is
+    a ValueError before any step, log line or checkpoint."""
     x_data, _ = model.split_observation(x_data)
     if x_data.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
+    if not np.isfinite(x_data).all():
+        raise ValueError("non-finite values in x_data")
     report = check_sparsity_condition(model.qparams)
     if not report.satisfied:
         raise ConfigError(
@@ -368,76 +369,31 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
             "must be nonincreasing"
         )
 
-    params = model.parameters()
-    opt = Adam(params, learning_rate=cfg.learning_rate)
+    opt = Adam(model.parameters(), learning_rate=cfg.learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x71AE]))
-    n = x_data.shape[0]
-    n_classes = len(model.classes)
 
-    log_fh = open(log_path, "a") if log_path else None
-    if log_fh and log_fh.tell() == 0:
-        fields = ["epoch", "total"]
-        fields += [f"recon_c{i + 1}" for i in range(n_classes)]
-        fields += ["prior", "entropy", "bracket_min", "saturation_count"]
-        log_fh.write("\t".join(fields) + "\n")
+    def step(idx):
+        noise = rng.standard_normal((idx.size, model.latent_dim))
+        loss, bd = qvae_loss(model, x_data[idx], noise)
+        opt.zero_grad()
+        ad.backward(loss)
+        opt.step()
+        return idx.size, bd
 
-    records = []
-    last_good = [p.data.copy() for p in params]
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(n)
-            tot = np.zeros(3 + n_classes)  # total, recon_c.., prior, entropy
-            bracket_min = np.inf
-            saturation = 0
-            seen = 0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = x_data[idx]
-                noise = rng.standard_normal((idx.size, model.latent_dim))
-                try:
-                    loss, bd = qvae_loss(model, batch, noise)
-                except TrainingAbort as exc:
-                    exc.diagnostics["epoch"] = epoch
-                    raise
-                opt.zero_grad()
-                ad.backward(loss)
-                opt.step()
-                w = idx.size
-                tot += w * np.array([bd.total, *bd.recon_per_class, bd.prior_term,
-                                     bd.entropy_term])
-                bracket_min = min(bracket_min, bd.bracket_min)
-                saturation += bd.saturation_count
-                seen += w
-            tot /= seen
-            record = LossBreakdown(
-                total=float(tot[0]),
-                recon_per_class=[float(v) for v in tot[1 : 1 + n_classes]],
-                prior_term=float(tot[1 + n_classes]),
-                entropy_term=float(tot[2 + n_classes]),
-                bracket_min=float(bracket_min) if np.isfinite(bracket_min) else float("nan"),
-                saturation_count=int(saturation),
-            )
-            records.append(record)
-            last_good = [p.data.copy() for p in params]
-            if log_fh:
-                row = [epoch, record.total, *record.recon_per_class,
-                       record.prior_term, record.entropy_term,
-                       record.bracket_min, record.saturation_count]
-                log_fh.write(_format_log_row(row) + "\n")
-                log_fh.flush()
-    except TrainingAbort:
-        for p, data in zip(params, last_good):
-            p.data = data
-        if ckpt_path:
-            save_qvae(ckpt_path, model)
-        raise
-    finally:
-        if log_fh:
-            log_fh.close()
+    def summarize(epoch, outs):
+        tot = np.zeros(3 + len(model.classes))  # total, recon_c.., prior, entropy
+        for w, bd in outs:
+            tot += w * np.array([bd.total, *bd.recon_per_class, bd.prior_term,
+                                 bd.entropy_term])
+        tot /= sum(w for w, _ in outs)
+        total, *recon, prior, entropy = tot.tolist()
+        return LossBreakdown(total, recon, prior, entropy,
+                             bracket_min=min(bd.bracket_min for _, bd in outs),
+                             saturation_count=sum(bd.saturation_count for _, bd in outs))
 
-    if ckpt_path:
-        save_qvae(ckpt_path, model)
-    return records
+    save = functools.partial(save_qvae, ckpt_path, model) if ckpt_path else None
+    return fit(model.parameters(), x_data.shape[0], cfg.epochs, cfg.batch_size, rng,
+               step, summarize, "qvae", log_path, save)
 
 
 # --- model construction and persistence ------------------------------------

@@ -9,6 +9,7 @@ over batched arrays, so analytic test models plug in directly.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -21,6 +22,7 @@ from .nets import (
     check_arrays,
     clamp_log_std_np,
     clamp_log_std_t,
+    fit,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -277,85 +279,57 @@ class WorldTrainConfig:
 
 def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
                 cfg: WorldTrainConfig, log_path=None, ckpt_path=None):
-    """NLL training with per-epoch held-out reporting; deterministic per seed.
-
-    Returns a list of per-epoch dicts (train/val total, dynamics, reward).
-    """
+    """NLL training through nets.fit with per-epoch held-out reporting;
+    deterministic per seed. Returns a list of per-epoch dicts (train/val
+    total, dynamics, reward). Each is appended to log_path as a JSON line of
+    stage "world". The checkpoint at ckpt_path is written after the last
+    epoch, or on TrainingAbort with the parameters of the last whole epoch
+    before the abort is re-raised. A non-finite value in train_ds or val_ds
+    is a ValueError naming the array before any step, log line or
+    checkpoint."""
     if len(train_ds) == 0:
         raise ValueError("training dataset must be nonempty")
+    for split, ds in (("train_ds", train_ds), ("val_ds", val_ds)):
+        for name in _DATASET_SHAPES:
+            if not np.isfinite(getattr(ds, name)).all():
+                raise ValueError(f"non-finite values in {split}.{name}")
     opt_dyn = Adam(model.dynamics.params, learning_rate=cfg.dynamics_learning_rate)
     opt_rew = Adam(model.reward.params, learning_rate=cfg.reward_learning_rate)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
-    n = len(train_ds)
 
-    log_fh = open(log_path, "a") if log_path else None
-    if log_fh and log_fh.tell() == 0:
-        log_fh.write(
-            "epoch\ttrain_total\ttrain_dyn\ttrain_rew\tval_total\tval_dyn\tval_rew\n"
+    def step(idx):
+        batch = WorldDataset(
+            states=train_ds.states[idx],
+            actions=train_ds.actions[idx],
+            next_states=train_ds.next_states[idx],
+            rewards=train_ds.rewards[idx],
         )
+        loss, (dyn_nll, rew_nll) = wm_loss(model, batch)
+        opt_dyn.zero_grad()
+        opt_rew.zero_grad()
+        ad.backward(loss)
+        opt_dyn.step()
+        opt_rew.step()
+        return idx.size, dyn_nll, rew_nll
 
-    records = []
-    last_good = [p.data.copy() for p in model.parameters()]
-    try:
-        for epoch in range(1, cfg.epochs + 1):
-            order = rng.permutation(n)
-            dyn_sum = rew_sum = 0.0
-            seen = 0
-            for start in range(0, n, cfg.batch_size):
-                idx = order[start : start + cfg.batch_size]
-                batch = WorldDataset(
-                    states=train_ds.states[idx],
-                    actions=train_ds.actions[idx],
-                    next_states=train_ds.next_states[idx],
-                    rewards=train_ds.rewards[idx],
-                )
-                loss, (dyn_nll, rew_nll) = wm_loss(model, batch)
-                opt_dyn.zero_grad()
-                opt_rew.zero_grad()
-                ad.backward(loss)
-                opt_dyn.step()
-                opt_rew.step()
-                dyn_sum += dyn_nll * idx.size
-                rew_sum += rew_nll * idx.size
-                seen += idx.size
-            val_total, val_dyn, val_rew = heldout_nll(model, val_ds)
-            rec = {
-                "epoch": epoch,
-                "train_dyn": dyn_sum / seen,
-                "train_rew": rew_sum / seen,
-                "train_total": (dyn_sum + rew_sum) / seen,
-                "val_total": val_total,
-                "val_dyn": val_dyn,
-                "val_rew": val_rew,
-            }
-            records.append(rec)
-            last_good = [p.data.copy() for p in model.parameters()]
-            if log_fh:
-                log_fh.write(
-                    "\t".join(
-                        [str(epoch)]
-                        + [
-                            f"{rec[k]:.17g}"
-                            for k in ("train_total", "train_dyn", "train_rew",
-                                      "val_total", "val_dyn", "val_rew")
-                        ]
-                    )
-                    + "\n"
-                )
-                log_fh.flush()
-    except TrainingAbort:
-        for p, data in zip(model.parameters(), last_good):
-            p.data = data
-        if ckpt_path:
-            save_world(ckpt_path, model)
-        raise
-    finally:
-        if log_fh:
-            log_fh.close()
+    def summarize(epoch, outs):
+        seen = sum(w for w, _, _ in outs)
+        dyn_sum = sum(dyn_nll * w for w, dyn_nll, _ in outs)
+        rew_sum = sum(rew_nll * w for w, _, rew_nll in outs)
+        val_total, val_dyn, val_rew = heldout_nll(model, val_ds)
+        return {
+            "epoch": epoch,
+            "train_dyn": dyn_sum / seen,
+            "train_rew": rew_sum / seen,
+            "train_total": (dyn_sum + rew_sum) / seen,
+            "val_total": val_total,
+            "val_dyn": val_dyn,
+            "val_rew": val_rew,
+        }
 
-    if ckpt_path:
-        save_world(ckpt_path, model)
-    return records
+    save = functools.partial(save_world, ckpt_path, model) if ckpt_path else None
+    return fit(model.parameters(), len(train_ds), cfg.epochs, cfg.batch_size, rng,
+               step, summarize, "world", log_path, save)
 
 
 # --- persistence ---------------------------------------------------------

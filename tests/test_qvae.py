@@ -2,6 +2,8 @@
 reduction to the (beta-)VAE, bracket non-negativity, gradient checks, and
 training-loop contracts."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -479,12 +481,10 @@ class TestTraining:
         )
         assert records[-1].total < records[0].total
         assert all(r.bracket_min >= 0 for r in records)
-        lines = log.read_text().strip().splitlines()
-        assert lines[0].split("\t") == [
-            "epoch", "total", "recon_c1", "recon_c2", "prior", "entropy",
-            "bracket_min", "saturation_count",
-        ]
-        assert len(lines) == 26
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(d["stage"], d["epoch"]) for d in lines] == [
+            ("qvae", e) for e in range(1, 26)]
+        assert [d["record"] for d in lines] == [vars(r) for r in records]
 
     def test_abort_saves_last_good_checkpoint(self, tmp_path):
         model = tiny_model(seed=20)
@@ -499,6 +499,20 @@ class TestTraining:
                 ckpt_path=tmp_path / "abort.ckpt",
             )
         assert (tmp_path / "abort.ckpt").exists()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_data_rejected_before_training(self, tmp_path, bad):
+        model = tiny_model(seed=24)
+        before = [p.data.copy() for p in model.parameters()]
+        x, _ = tiny_batch(model, 32, seed=18)
+        x[5, 3] = bad
+        log, ckpt = tmp_path / "train.log", tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="x_data"):
+            train_qvae(model, x, TrainConfig(epochs=2, batch_size=8, seed=0),
+                       log_path=log, ckpt_path=ckpt)
+        assert not log.exists() and not ckpt.exists()
+        for p, b in zip(model.parameters(), before):
+            assert p.data.tobytes() == b.tobytes()
 
     def test_condition_checked_before_training(self):
         bad = QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0),

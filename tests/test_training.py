@@ -1,0 +1,89 @@
+"""The training loop both stages share (nets.fit): parameters restored and
+saved on TrainingAbort, and one JSONL epoch log for a whole run."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from minreal import qvae, world
+from minreal.errors import TrainingAbort
+from test_qvae import QP_TABLE, QP_VAE, tiny_batch, tiny_model
+from test_world import make_dataset
+
+N, BATCH, BATCHES = 40, 16, 3  # samples, batch size, batches per epoch
+
+# stage -> (module, name of the loss the loop calls, checkpoint loader)
+STAGES = {
+    "qvae": (qvae, "qvae_loss", qvae.load_qvae),
+    "world": (world, "wm_loss", world.load_world),
+}
+
+
+def make_run(stage, qparams=QP_TABLE):
+    """A fresh small model of the stage and train(epochs, **paths), which
+    trains it with a fixed seed and returns the records."""
+    if stage == "qvae":
+        model = tiny_model(qparams=qparams, seed=30)
+        x, _ = tiny_batch(model, N, seed=31)
+        return model, lambda epochs, **paths: qvae.train_qvae(
+            model, x, qvae.TrainConfig(epochs, batch_size=BATCH, seed=3), **paths)
+    model = world.build_world_model(2, 2, seed=32)
+    train, val = make_dataset(N, seed=33), make_dataset(8, seed=34)
+    return model, lambda epochs, **paths: world.train_world(
+        model, train, val, world.WorldTrainConfig(epochs, batch_size=BATCH, seed=3), **paths)
+
+
+def param_bytes(model):
+    return [p.data.tobytes() for p in model.parameters()]
+
+
+# An abort on a later batch comes after steps of its own epoch, which the
+# restore must undo.
+@pytest.mark.parametrize("abort_batch", [1, 2])
+@pytest.mark.parametrize("abort_epoch", [1, 2])
+@pytest.mark.parametrize("stage", STAGES)
+def test_abort_restores_last_whole_epoch_and_saves(stage, abort_epoch, abort_batch,
+                                                   tmp_path, monkeypatch):
+    module, loss_name, load = STAGES[stage]
+    ref, train_ref = make_run(stage)
+    train_ref(abort_epoch - 1)
+
+    loss = getattr(module, loss_name)
+    calls = []
+
+    def loss_aborting_in_epoch(*args):
+        calls.append(None)
+        if len(calls) == BATCHES * (abort_epoch - 1) + abort_batch:
+            raise TrainingAbort("injected")
+        return loss(*args)
+
+    monkeypatch.setattr(module, loss_name, loss_aborting_in_epoch)
+    model, train = make_run(stage)
+    path = tmp_path / "abort.ckpt"
+    with pytest.raises(TrainingAbort) as info:
+        train(3, ckpt_path=path)
+    assert info.value.diagnostics["epoch"] == abort_epoch
+    assert param_bytes(model) == param_bytes(ref)
+    assert param_bytes(load(path)) == param_bytes(ref)
+
+
+def test_one_log_holds_both_stages_in_order(tmp_path):
+    log = tmp_path / "run.jsonl"
+    q_records = make_run("qvae")[1](3, log_path=log)
+    w_records = make_run("world")[1](2, log_path=log)
+    lines = [json.loads(line) for line in log.read_text().splitlines()]
+    assert [(d["stage"], d["epoch"]) for d in lines] == [
+        ("qvae", 1), ("qvae", 2), ("qvae", 3), ("world", 1), ("world", 2)]
+    assert [d["record"] for d in lines] == [vars(r) for r in q_records] + w_records
+
+
+def test_nan_bracket_min_is_logged_as_nan(tmp_path):
+    log = tmp_path / "vae.jsonl"
+    records = make_run("qvae", qparams=QP_VAE)[1](1, log_path=log)
+    text = log.read_text()
+    assert '"bracket_min": NaN' in text
+    record = json.loads(text)["record"]
+    assert math.isnan(record["bracket_min"]) and math.isnan(records[0].bracket_min)
+    np.testing.assert_equal(record, vars(records[0]))

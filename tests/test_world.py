@@ -1,5 +1,7 @@
 """World model: NLL loss, rollouts, dataset encoding, persistence."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -265,6 +267,22 @@ class TestTrainWorld:
         run(tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
 
+    @pytest.mark.parametrize("split", ["train_ds", "val_ds"])
+    @pytest.mark.parametrize("field", ["states", "actions", "next_states", "rewards"])
+    def test_non_finite_data_rejected_before_training(self, tmp_path, split, field):
+        model = build_world_model(2, 2, seed=4)
+        before = [p.data.copy() for p in model.parameters()]
+        data = {"train_ds": make_dataset(24, seed=5), "val_ds": make_dataset(8, seed=6)}
+        getattr(data[split], field)[3] = np.inf
+        log, ckpt = tmp_path / "world.log", tmp_path / "w.ckpt"
+        with pytest.raises(ValueError, match=rf"{split}\.{field}"):
+            train_world(model, data["train_ds"], data["val_ds"],
+                        WorldTrainConfig(epochs=2, batch_size=8, seed=0),
+                        log_path=log, ckpt_path=ckpt)
+        assert not log.exists() and not ckpt.exists()
+        for p, b in zip(model.parameters(), before):
+            assert p.data.tobytes() == b.tobytes()
+
     def test_learns_predictable_dynamics(self, tmp_path):
         # s' = s + a with small noise is easily learnable; NLL should drop
         rng = np.random.default_rng(11)
@@ -283,9 +301,10 @@ class TestTrainWorld:
             log_path=log,
         )
         assert records[-1]["val_total"] < records[0]["val_total"]
-        header = log.read_text().splitlines()[0].split("\t")
-        assert header == ["epoch", "train_total", "train_dyn", "train_rew",
-                          "val_total", "val_dyn", "val_rew"]
+        lines = [json.loads(line) for line in log.read_text().splitlines()]
+        assert [(d["stage"], d["epoch"]) for d in lines] == [
+            ("world", e) for e in range(1, 41)]
+        assert [d["record"] for d in lines] == records
 
 
 class TestWorldPersistence:
