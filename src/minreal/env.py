@@ -33,7 +33,8 @@ TARGET_HEIGHT_RANGE = (0.15, 0.45)
 
 # Scripted data-collection controller (position + velocity feedback). With
 # these gains a noise-free episode reaches the success threshold in <= 15
-# steps from anywhere in the spawn region.
+# steps from anywhere in the spawn region; collected episodes add Gaussian
+# action noise of DEFAULT_NOISE_STD.
 CONTROLLER_KP = 12.0
 CONTROLLER_KD = 5.0
 DEFAULT_NOISE_STD = 0.1
@@ -168,21 +169,21 @@ class DatasetSplits:
         return len(self.train) + len(self.val) + len(self.test)
 
 
-def collect_episode(rng, noise_std) -> list:
+def collect_episode(rng) -> list:
     """One full-length scripted episode (data collection never terminates
     early, so near-target hovering is well covered)."""
     state = initial_state(rng)
     obs = observe(state)
     out = []
     for _ in range(EPISODE_LEN):
-        action = scripted_action(state, rng, noise_std)
+        action = scripted_action(state, rng, DEFAULT_NOISE_STD)
         state, reward, next_obs = env_step(state, action)
         out.append(Transition(obs=obs, action=action, next_obs=next_obs, reward=reward))
         obs = next_obs
     return out
 
 
-def collect_dataset(n_episodes, noise_std=DEFAULT_NOISE_STD, seed=0) -> DatasetSplits:
+def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
     """Scripted-controller dataset with a fixed 90/5/5 split by episode."""
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
@@ -190,7 +191,7 @@ def collect_dataset(n_episodes, noise_std=DEFAULT_NOISE_STD, seed=0) -> DatasetS
     episodes = []
     for child in master.spawn(n_episodes):
         rng = np.random.default_rng(child)
-        episodes.append(collect_episode(rng, noise_std))
+        episodes.append(collect_episode(rng))
     n_val = max(1, n_episodes // 20) if n_episodes >= 3 else 0
     n_test = n_val
     n_train = n_episodes - n_val - n_test

@@ -3,6 +3,10 @@
 sampling, and the artifact container that every saved model, dataset and
 mask uses.
 
+Each log-likelihood has one implementation, built from autodiff ops. On
+plain arrays (forward_np output) those ops record no tape, so evaluation
+runs the same density code as the losses and reads .data.
+
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Networks come in two flavors per
 instance: forward() records the autodiff graph for training; forward_np() is
@@ -23,9 +27,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, MissingArtifact, TrainingAbort
-from .tsallis import _HALF_LOG_2PI, LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
+from .tsallis import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
 
 _MAGIC = b"MRCKPT02"
+
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 ACTIVATIONS = ("swish", "tanh")
 
@@ -200,8 +206,14 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
     are restored to their values after the last whole epoch (the start if
     none finished), the exception's diagnostics get the epoch it arose in
     (counted from 1) as "epoch", save() is called and the exception
-    re-raised. save() is also called after the last epoch.
+    re-raised. save() is also called after the last epoch. A batch_size
+    below 1 or negative epochs is a ConfigError before any step, log line
+    or save.
     """
+    if batch_size < 1:
+        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
+    if epochs < 0:
+        raise ConfigError(f"epochs must be non-negative, got {epochs}")
     records = []
     last_good = [p.data.copy() for p in params]
     with open(log_path, "a") if log_path else contextlib.nullcontext() as log:
@@ -228,7 +240,7 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
 
 
 def gaussian_log_prob_t(mean, log_std, x) -> ad.Tensor:
-    """Graph version: per-row log density of a diagonal Gaussian, shape (B,)."""
+    """Per-row log density of a diagonal Gaussian, shape (B,)."""
     mean = ad.as_tensor(mean)
     log_std = ad.as_tensor(log_std)
     x = ad.as_tensor(x)
@@ -261,21 +273,6 @@ def reparam_sample(mean, log_std, noise) -> ad.Tensor:
 _CB_SEAM = 1e-3
 
 
-def cb_log_norm(lam):
-    """Log normalizing constant of the continuous Bernoulli on [0, 1].
-
-    C(lam) = 2*atanh(1-2*lam)/(1-2*lam) away from 1/2 and 2 at 1/2.
-    Accepts scalars or arrays; domain error outside (0, 1).
-    """
-    arr = np.asarray(lam, dtype=np.float64)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-        raise ValueError(f"cb_log_norm requires lambda in (0, 1), got {lam!r}")
-    out = _cb_log_norm_core(arr)
-    if np.ndim(lam) == 0:
-        return float(out)
-    return out
-
-
 def _cb_log_norm_core(arr):
     t = arr - 0.5
     near = np.abs(t) < _CB_SEAM
@@ -289,7 +286,7 @@ def _cb_log_norm_core(arr):
 
 
 def _cb_log_norm_deriv(arr):
-    """d/d lambda of cb_log_norm, with the matching series branch."""
+    """d/d lambda of _cb_log_norm_core, with the matching series branch."""
     t = arr - 0.5
     near = np.abs(t) < _CB_SEAM
     out = np.empty_like(arr)
@@ -305,36 +302,15 @@ def _cb_log_norm_deriv(arr):
 
 
 def cb_log_norm_t(lam) -> ad.Tensor:
-    """Graph version of cb_log_norm."""
+    """Log normalizing constant of the continuous Bernoulli on [0, 1],
+    elementwise for lambda in (0, 1): log C(lam) with
+    C(lam) = 2*atanh(1-2*lam)/(1-2*lam) away from 1/2 and 2 at 1/2."""
     return ad.custom_unary(lam, _cb_log_norm_core, _cb_log_norm_deriv)
 
 
-def cb_log_prob(lam, x):
-    """Continuous-Bernoulli log density, summed over the last axis.
-
-    lam componentwise in (0, 1), x in [0, 1]; scalars or arrays.
-    """
-    lam_arr = np.asarray(lam, dtype=np.float64)
-    x_arr = np.asarray(x, dtype=np.float64)
-    if np.any(x_arr < 0.0) or np.any(x_arr > 1.0):
-        raise ValueError("cb_log_prob requires x in [0, 1]")
-    if np.any(lam_arr <= 0.0) or np.any(lam_arr >= 1.0):
-        raise ValueError("cb_log_prob requires lambda in (0, 1)")
-    if lam_arr.shape != x_arr.shape:
-        raise ValueError(f"shape mismatch: {lam_arr.shape} vs {x_arr.shape}")
-    per = (
-        x_arr * np.log(lam_arr)
-        + (1.0 - x_arr) * np.log1p(-lam_arr)
-        + _cb_log_norm_core(lam_arr)
-    )
-    out = per.sum(axis=-1) if per.ndim else per
-    if np.ndim(out) == 0:
-        return float(out)
-    return out
-
-
 def cb_log_prob_t(lam, x) -> ad.Tensor:
-    """Graph version: per-row CB log density, shape (B,). x is constant."""
+    """Per-row continuous-Bernoulli log density, shape (B,), for lambda in
+    (0, 1) and x in [0, 1]. x is constant."""
     lam = ad.as_tensor(lam)
     x = np.asarray(x, dtype=np.float64)
     if lam.data.shape != x.shape:

@@ -26,7 +26,6 @@ from .nets import (
     Adam,
     Mlp,
     MlpSpec,
-    cb_log_prob,
     cb_log_prob_t,
     clamp_log_std_np,
     clamp_log_std_t,
@@ -38,13 +37,7 @@ from .nets import (
     save_checkpoint,
     set_params,
 )
-from .tsallis import (
-    MAX_EXPONENT,
-    DiagGaussian,
-    QParams,
-    check_sparsity_condition,
-    gaussian_log_prob,
-)
+from .tsallis import MAX_EXPONENT, DiagGaussian, QParams, check_sparsity_condition
 
 CLASS_KINDS = ("diag_gaussian", "continuous_bernoulli")
 
@@ -194,9 +187,10 @@ class QvaeModel:
         )
         return mean, log_std
 
-    def _class_log_prob_graph(self, index, z_t, x_block):
+    def _class_log_prob(self, index, raw, x_block):
+        """Per-row log p(x_c|z) tensor of class `index` from its decoder's raw
+        output at z: a graph output in the loss, forward_np's in bracket_term."""
         cls = self.classes[index]
-        raw = self.decoders[index].forward(z_t)
         if cls.kind == "diag_gaussian":
             mean = ad.slice_cols(raw, 0, cls.width)
             log_std = clamp_log_std_t(ad.slice_cols(raw, cls.width, 2 * cls.width))
@@ -233,20 +227,14 @@ def _bracket_values(logps, qparams: QParams):
 
 
 def bracket_term(model: QvaeModel, x, z):
-    """Evaluate the bracketed quantity at given observations and latents."""
+    """The bracketed quantity at given observations and latents, per row:
+    qvae_loss's class heads (_class_log_prob) run tape-free on the decoders'
+    forward_np outputs."""
     if model.qparams.q == 1.0:
         raise ConfigError("the bracket is defined only for q < 1")
     _, blocks = model.split_observation(x)
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim == 1:
-        z = z[None, :]
-    logps = []
-    for i, (cls, params) in enumerate(zip(model.classes, model.decode(z))):
-        if cls.kind == "diag_gaussian":
-            lp = gaussian_log_prob(*params, blocks[i])
-        else:
-            lp = np.atleast_1d(cb_log_prob(params, blocks[i]))
-        logps.append(lp)
+    logps = [model._class_log_prob(i, dec.forward_np(z), blocks[i]).data
+             for i, dec in enumerate(model.decoders)]
     return _bracket_values(logps, model.qparams)
 
 
@@ -282,9 +270,8 @@ def qvae_loss(model: QvaeModel, x, noise):
         np.zeros((1, model.latent_dim)), np.zeros((1, model.latent_dim)), z_t
     )
     log_pzx = gaussian_log_prob_t(mean_t, log_std_t, z_t)
-    log_pcs = [
-        model._class_log_prob_graph(i, z_t, blocks[i]) for i in range(len(model.classes))
-    ]
+    log_pcs = [model._class_log_prob(i, dec.forward(z_t), blocks[i])
+               for i, dec in enumerate(model.decoders)]
 
     lnq_pz, u_pz, saturation = _q_log_t(log_pz, qparams.q)
     lnq_pzx, _, saturated = _q_log_t(log_pzx, qparams.q)

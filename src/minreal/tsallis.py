@@ -1,7 +1,8 @@
-"""The q-deformed logarithm, the diagonal Gaussian with its numpy
-log-density and log-std clamp, the hyperparameters of the deformed
-objective, and the condition on them that keeps the sparsifying
-reconstruction bracket non-negative.
+"""The q-deformed logarithm, the diagonal Gaussian with its log-std clamp,
+the hyperparameters of the deformed objective, and the condition on them
+that keeps the sparsifying reconstruction bracket non-negative. The Gaussian
+log-density lives in nets (gaussian_log_prob_t), for training and
+evaluation alike.
 
 Functions accept scalars or numpy arrays (float64 throughout). q_log at
 q = 1 is the exact natural log, never a numerical limit. The graph-side ln_q
@@ -26,8 +27,6 @@ LOG_STD_MAX = 2.0
 # Clamp for exponents of the form (1-q)*log p before exp(); the loss counts
 # saturated entries so silent clipping is observable.
 MAX_EXPONENT = 50.0
-
-_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def _as_float_array(x, name):
@@ -149,17 +148,6 @@ def q_log(x, q):
     # expm1 keeps precision as q -> 1 where x^(1-q) - 1 would cancel.
     out = np.expm1((1.0 - q) * np.log(arr)) / (1.0 - q)
     return _scalar_or_array(out, x)
-
-
-def gaussian_log_prob(mean, log_std, x):
-    """Log density of a diagonal Gaussian with the given mean and log std,
-    summed over the last axis. The one numpy copy; the graph version is
-    nets.gaussian_log_prob_t."""
-    z = (x - mean) / np.exp(log_std)
-    out = np.sum(-0.5 * z * z - log_std - _HALF_LOG_2PI, axis=-1)
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 @dataclasses.dataclass(frozen=True)

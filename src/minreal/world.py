@@ -2,6 +2,10 @@
 networks trained by negative log-likelihood on (masked) latent states, plus
 deterministic mean-propagation rollouts for planning.
 
+The training loss and the held-out NLL read the heads through one function,
+_log_probs: the loss on the graph outputs of Mlp.forward, the held-out NLL
+tape-free on those of Mlp.forward_np.
+
 rollout() accepts anything exposing dynamics_mean(s, a) and reward_mean(s, a)
 over batched arrays, so analytic test models plug in directly.
 """
@@ -20,7 +24,6 @@ from .nets import (
     Mlp,
     MlpSpec,
     check_arrays,
-    clamp_log_std_np,
     clamp_log_std_t,
     fit,
     gaussian_log_prob_t,
@@ -29,8 +32,7 @@ from .nets import (
     save_checkpoint,
     set_params,
 )
-from .latent import LatentMask, apply_mask
-from .tsallis import gaussian_log_prob
+from .latent import apply_mask
 
 # Candidates are scored in blocks of this many rows, each block over the whole
 # horizon before the next starts: at planner widths a block's activations then
@@ -42,6 +44,10 @@ ROLLOUT_BLOCK_ROWS = 1024
 # not just its first layer (the planner's per-candidate cost then drops
 # roughly quadratically with the kept state size).
 HIDDEN_SCALE = 4
+
+# Adam learning rates of the dynamics and reward networks.
+DYNAMICS_LEARNING_RATE = 1e-3
+REWARD_LEARNING_RATE = 3e-4
 
 
 def default_hidden(state_dim, action_dim):
@@ -79,14 +85,6 @@ class WorldModel:
                 f"got {s.shape} / {a.shape}"
             )
         return np.hstack([s, a])
-
-    def dynamics_params(self, s, a):
-        out = self.dynamics.forward_np(self._join(s, a))
-        return out[:, : self.state_dim], clamp_log_std_np(out[:, self.state_dim :])
-
-    def reward_params(self, s, a):
-        out = self.reward.forward_np(self._join(s, a))
-        return out[:, 0], clamp_log_std_np(out[:, 1])
 
     # The planner reads only the means, so these skip the log-std clamp.
     def dynamics_mean(self, s, a):
@@ -155,6 +153,19 @@ def encode_dataset(vae, mask, transitions) -> WorldDataset:
     )
 
 
+def _log_probs(model: WorldModel, dyn_out, rew_out, ds: WorldDataset):
+    """Per-row log p(s'|s,a) and log p(r|s,a) over ds, as tensors, from the
+    dynamics and reward nets' raw outputs (mean, then log-std, per head)."""
+    s = model.state_dim
+    dyn_lp = gaussian_log_prob_t(ad.slice_cols(dyn_out, 0, s),
+                                 clamp_log_std_t(ad.slice_cols(dyn_out, s, 2 * s)),
+                                 ds.next_states)
+    rew_lp = gaussian_log_prob_t(ad.slice_cols(rew_out, 0, 1),
+                                 clamp_log_std_t(ad.slice_cols(rew_out, 1, 2)),
+                                 ds.rewards[:, None])
+    return dyn_lp, rew_lp
+
+
 def wm_loss(model: WorldModel, batch: WorldDataset):
     """Mean over the batch of -log p(s'|s,a) - log p(r|s,a).
 
@@ -163,38 +174,22 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     x = np.hstack([batch.states, batch.actions])
-    dyn_out = model.dynamics.forward(x)
-    mean = ad.slice_cols(dyn_out, 0, model.state_dim)
-    log_std = clamp_log_std_t(
-        ad.slice_cols(dyn_out, model.state_dim, 2 * model.state_dim)
-    )
-    dyn_lp = gaussian_log_prob_t(mean, log_std, batch.next_states)
-
-    rew_out = model.reward.forward(x)
-    r_mean = ad.slice_cols(rew_out, 0, 1)
-    r_ls = clamp_log_std_t(ad.slice_cols(rew_out, 1, 2))
-    rew_lp = gaussian_log_prob_t(r_mean, r_ls, batch.rewards[:, None])
-
+    dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward(x), model.reward.forward(x),
+                                batch)
     loss = ad.neg(ad.mean_all(ad.add(dyn_lp, rew_lp)))
     if not np.isfinite(loss.data):
         raise TrainingAbort("non-finite world-model loss")
     return loss, (-float(dyn_lp.data.mean()), -float(rew_lp.data.mean()))
 
 
-def heldout_nll(model: WorldModel, ds: WorldDataset, dims=None):
-    """Tape-free held-out NLL. Returns (total, dynamics, reward) means.
-
-    dims optionally restricts the dynamics term to a subset of predicted
-    state dimensions (for like-for-like comparisons across maskings).
-    """
-    mean, log_std = model.dynamics_params(ds.states, ds.actions)
-    target = ds.next_states
-    if dims is not None:
-        mean, log_std, target = mean[:, dims], log_std[:, dims], target[:, dims]
-    dyn_nll = -float(gaussian_log_prob(mean, log_std, target).mean())
-    r_mean, r_ls = model.reward_params(ds.states, ds.actions)
-    rew_nll = -float(gaussian_log_prob(r_mean[:, None], r_ls[:, None],
-                                       ds.rewards[:, None]).mean())
+def heldout_nll(model: WorldModel, ds: WorldDataset):
+    """Held-out NLL: wm_loss's heads (_log_probs) run tape-free on the
+    forward_np outputs. Returns (total, dynamics, reward) means."""
+    x = np.hstack([ds.states, ds.actions])
+    dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward_np(x),
+                                model.reward.forward_np(x), ds)
+    dyn_nll = -float(dyn_lp.data.mean())
+    rew_nll = -float(rew_lp.data.mean())
     return dyn_nll + rew_nll, dyn_nll, rew_nll
 
 
@@ -273,8 +268,6 @@ class WorldTrainConfig:
     epochs: int
     batch_size: int = 512
     seed: int = 0
-    dynamics_learning_rate: float = 1e-3
-    reward_learning_rate: float = 3e-4
 
 
 def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
@@ -287,14 +280,14 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
     before the abort is re-raised. A non-finite value in train_ds or val_ds
     is a ValueError naming the array before any step, log line or
     checkpoint."""
-    if len(train_ds) == 0:
-        raise ValueError("training dataset must be nonempty")
+    if len(train_ds) == 0 or len(val_ds) == 0:
+        raise ValueError("train_ds and val_ds must be nonempty")
     for split, ds in (("train_ds", train_ds), ("val_ds", val_ds)):
         for name in _DATASET_SHAPES:
             if not np.isfinite(getattr(ds, name)).all():
                 raise ValueError(f"non-finite values in {split}.{name}")
-    opt_dyn = Adam(model.dynamics.params, learning_rate=cfg.dynamics_learning_rate)
-    opt_rew = Adam(model.reward.params, learning_rate=cfg.reward_learning_rate)
+    opt_dyn = Adam(model.dynamics.params, learning_rate=DYNAMICS_LEARNING_RATE)
+    opt_rew = Adam(model.reward.params, learning_rate=REWARD_LEARNING_RATE)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
 
     def step(idx):

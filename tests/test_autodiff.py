@@ -124,6 +124,35 @@ class TestOpGradients:
         )
 
 
+def operand_shape(rng, full):
+    """A shape that broadcasts to `full`: a random suffix of it (leading dims
+    dropped) with random axes set to 1."""
+    suffix = full[len(full) - int(rng.integers(0, len(full) + 1)):]
+    return tuple(1 if rng.random() < 0.4 else n for n in suffix)
+
+
+@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
+    rng = np.random.default_rng(60)
+    for _ in range(30):
+        full = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 4)))
+        shape_a, shape_b = operand_shape(rng, full), operand_shape(rng, full)
+        a0, b0 = rng.normal(size=shape_a), rng.normal(size=shape_b)
+        # A random weight makes each output entry's gradient distinct.
+        w = rng.normal(size=np.broadcast_shapes(shape_a, shape_b))
+
+        def loss(a, b):
+            return ad.mean_all(ad.mul(op(a, b), w))
+
+        a, b = ad.parameter(a0), ad.parameter(b0)
+        ad.backward(loss(a, b))
+        assert a.grad.shape == shape_a and b.grad.shape == shape_b
+        num_a = fd_grad(lambda arr: float(loss(arr, b0).data), a0.copy())
+        num_b = fd_grad(lambda arr: float(loss(a0, arr).data), b0.copy())
+        np.testing.assert_allclose(a.grad, num_a, rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(b.grad, num_b, rtol=1e-6, atol=1e-9)
+
+
 class TestBackward:
     def test_sum_of_params_gradient_ones(self):
         p = ad.parameter(np.arange(6.0).reshape(2, 3))

@@ -133,8 +133,8 @@ class TestCollect:
             assert done, f"controller failed from {state}"
 
     def test_same_seed_identical(self):
-        a = env.collect_dataset(5, noise_std=0.1, seed=42)
-        b = env.collect_dataset(5, noise_std=0.1, seed=42)
+        a = env.collect_dataset(5, seed=42)
+        b = env.collect_dataset(5, seed=42)
         for ta, tb in zip(a.train, b.train):
             np.testing.assert_array_equal(ta.obs.image, tb.obs.image)
             np.testing.assert_array_equal(ta.action, tb.action)

@@ -428,6 +428,14 @@ class TestBracket:
         np.testing.assert_allclose(vals, first, rtol=1e-10)
         assert np.all(vals >= 0)
 
+    def test_min_matches_loss_bracket_min(self):
+        model = tiny_model(seed=14)
+        x, noise = tiny_batch(model, 6, seed=9)
+        belief = model.encode(x)
+        z = belief.mean + np.exp(belief.log_std) * noise
+        _, bd = qvae_loss(model, x, noise)
+        assert bracket_term(model, x, z).min() == pytest.approx(bd.bracket_min, rel=1e-12)
+
     def test_strict_chain_floor_at_vanishing_likelihood(self):
         qp = QParams(q=0.9, class_qs=(0.95, 0.999), class_weights=(10.0, 1.0),
                      beta=30.0, gamma=3.0)

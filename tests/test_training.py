@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from minreal import qvae, world
-from minreal.errors import TrainingAbort
+from minreal.errors import ConfigError, TrainingAbort
 from test_qvae import QP_TABLE, QP_VAE, tiny_batch, tiny_model
 from test_world import make_dataset
 
@@ -21,18 +21,19 @@ STAGES = {
 }
 
 
-def make_run(stage, qparams=QP_TABLE):
+def make_run(stage, qparams=QP_TABLE, batch_size=BATCH):
     """A fresh small model of the stage and train(epochs, **paths), which
     trains it with a fixed seed and returns the records."""
     if stage == "qvae":
         model = tiny_model(qparams=qparams, seed=30)
         x, _ = tiny_batch(model, N, seed=31)
         return model, lambda epochs, **paths: qvae.train_qvae(
-            model, x, qvae.TrainConfig(epochs, batch_size=BATCH, seed=3), **paths)
+            model, x, qvae.TrainConfig(epochs, batch_size=batch_size, seed=3), **paths)
     model = world.build_world_model(2, 2, seed=32)
     train, val = make_dataset(N, seed=33), make_dataset(8, seed=34)
     return model, lambda epochs, **paths: world.train_world(
-        model, train, val, world.WorldTrainConfig(epochs, batch_size=BATCH, seed=3), **paths)
+        model, train, val, world.WorldTrainConfig(epochs, batch_size=batch_size, seed=3),
+        **paths)
 
 
 def param_bytes(model):
@@ -87,3 +88,17 @@ def test_nan_bracket_min_is_logged_as_nan(tmp_path):
     record = json.loads(text)["record"]
     assert math.isnan(record["bracket_min"]) and math.isnan(records[0].bracket_min)
     np.testing.assert_equal(record, vars(records[0]))
+
+
+@pytest.mark.parametrize("epochs, batch_size, match", [
+    (2, 0, "batch_size"), (2, -4, "batch_size"), (-2, BATCH, "epochs")])
+@pytest.mark.parametrize("stage", STAGES)
+def test_bad_batch_size_or_epochs_is_config_error(stage, epochs, batch_size, match,
+                                                  tmp_path):
+    model, train = make_run(stage, batch_size=batch_size)
+    before = param_bytes(model)
+    log, ckpt = tmp_path / "run.jsonl", tmp_path / "model.ckpt"
+    with pytest.raises(ConfigError, match=match):
+        train(epochs, log_path=log, ckpt_path=ckpt)
+    assert not log.exists() and not ckpt.exists()
+    assert param_bytes(model) == before

@@ -11,7 +11,6 @@ from minreal.tsallis import (
     DiagGaussian,
     QParams,
     check_sparsity_condition,
-    gaussian_log_prob,
     q_log,
 )
 
@@ -89,22 +88,6 @@ class TestIdentitySuite:
         xs = np.exp(np.linspace(np.log(1e-3), np.log(1e3), 500))
         diff = np.abs(q_log(xs, 1.0 - 1e-8) - np.log(xs))
         assert diff.max() <= 1e-6
-
-
-class TestGaussianLogProb:
-    def test_standard_normal_at_zero(self):
-        p = DiagGaussian(np.zeros(1), np.zeros(1))
-        assert gaussian_log_prob(p.mean, p.log_std, np.zeros(1)) == pytest.approx(
-            -0.9189385332046727, abs=1e-12
-        )
-
-    def test_at_mean(self):
-        rng = np.random.default_rng(5)
-        mu = rng.normal(0, 1, 4)
-        ls = rng.uniform(-1, 1, 4)
-        p = DiagGaussian(mu, ls)
-        expected = -ls.sum() - 2.0 * np.log(2 * np.pi)
-        assert gaussian_log_prob(p.mean, p.log_std, mu) == pytest.approx(expected, rel=1e-12)
 
 
 class TestDiagGaussian:

@@ -283,6 +283,15 @@ class TestTrainWorld:
         for p, b in zip(model.parameters(), before):
             assert p.data.tobytes() == b.tobytes()
 
+    def test_empty_val_ds_rejected_before_training(self, tmp_path):
+        model = build_world_model(2, 2, seed=4)
+        log, ckpt = tmp_path / "world.log", tmp_path / "w.ckpt"
+        with pytest.raises(ValueError, match="val_ds"):
+            train_world(model, make_dataset(24, seed=5), make_dataset(0),
+                        WorldTrainConfig(epochs=2, batch_size=8, seed=0),
+                        log_path=log, ckpt_path=ckpt)
+        assert not log.exists() and not ckpt.exists()
+
     def test_learns_predictable_dynamics(self, tmp_path):
         # s' = s + a with small noise is easily learnable; NLL should drop
         rng = np.random.default_rng(11)
