@@ -25,10 +25,6 @@ class Tensor:
         self._backward = _backward
         self._consumed = False
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 

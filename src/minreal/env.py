@@ -2,7 +2,14 @@
 unit box must stop at a target point whose height is only visible in the
 rendered image (horizontal bar), while the dot position/velocity are also
 available as a 4-vector. A scripted feedback controller with action noise
-collects transition datasets.
+collects datasets of whole episodes.
+
+A dataset is an Episodes of three arrays: obs (E, T+1, OBS_DIM) holds each
+episode's flattened observations (proprio, then the image row-major) from
+its start state on, action is (E, T, ACTION_DIM) and reward (E, T). Step t
+goes from obs[:, t] to obs[:, t+1], so each observation is stored once.
+save_transitions writes these arrays, by name, to one nets.save_checkpoint
+file of kind "transitions".
 
 Minimal realization of the system is 5 numbers: position (2), velocity (2),
 and the per-episode target height.
@@ -158,86 +165,101 @@ class Transition:
     reward: float
 
 
+@dataclasses.dataclass(frozen=True, eq=False)
+class Episodes:
+    """E episodes of T steps (see the module docstring); len() counts the
+    E * T transitions and + concatenates episodes. Iteration yields one
+    Transition view per step, in episode order, only for code that reads
+    records one at a time (perfbench fingerprints them)."""
+
+    obs: np.ndarray
+    action: np.ndarray
+    reward: np.ndarray
+
+    def __post_init__(self):
+        r = self.reward.shape
+        if (len(r) != 2 or self.action.shape != (*r, ACTION_DIM)
+                or self.obs.shape != (r[0], r[1] + 1, OBS_DIM)):
+            raise ValueError(
+                f"episode arrays obs {self.obs.shape}, action {self.action.shape}, "
+                f"reward {r}; expected (E, T+1, {OBS_DIM}), (E, T, {ACTION_DIM}), (E, T)")
+
+    def __len__(self):
+        return self.reward.size
+
+    def __add__(self, other):
+        return Episodes(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+                          for f in dataclasses.fields(self)))
+
+    def __iter__(self):
+        for obs, action, reward in zip(self.obs, self.action, self.reward):
+            views = [Observation(image=o[PROPRIO_DIM:].reshape(IMAGE_SIZE, IMAGE_SIZE),
+                                 proprio=o[:PROPRIO_DIM]) for o in obs]
+            for t, a in enumerate(action):
+                yield Transition(views[t], a, views[t + 1], float(reward[t]))
+
+
 @dataclasses.dataclass(frozen=True)
 class DatasetSplits:
-    train: list
-    val: list
-    test: list
+    train: Episodes
+    val: Episodes
+    test: Episodes
 
     @property
     def total(self):
         return len(self.train) + len(self.val) + len(self.test)
 
 
-def collect_episode(rng) -> list:
-    """One full-length scripted episode (data collection never terminates
-    early, so near-target hovering is well covered)."""
-    state = initial_state(rng)
-    obs = observe(state)
-    out = []
-    for _ in range(EPISODE_LEN):
-        action = scripted_action(state, rng, DEFAULT_NOISE_STD)
-        state, reward, next_obs = env_step(state, action)
-        out.append(Transition(obs=obs, action=action, next_obs=next_obs, reward=reward))
-        obs = next_obs
-    return out
-
-
 def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
-    """Scripted-controller dataset with a fixed 90/5/5 split by episode."""
+    """Full-length scripted episodes (collection never terminates early, so
+    near-target hovering is well covered), one RNG stream per episode, with
+    a fixed 90/5/5 split by episode."""
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
-    master = np.random.SeedSequence(seed)
-    episodes = []
-    for child in master.spawn(n_episodes):
+    obs = np.empty((n_episodes, EPISODE_LEN + 1, OBS_DIM))
+    action = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))
+    reward = np.empty((n_episodes, EPISODE_LEN))
+    for e, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
         rng = np.random.default_rng(child)
-        episodes.append(collect_episode(rng))
+        state = initial_state(rng)
+        obs[e, 0] = observe(state).vector()
+        for t in range(EPISODE_LEN):
+            action[e, t] = scripted_action(state, rng, DEFAULT_NOISE_STD)
+            state, reward[e, t], next_obs = env_step(state, action[e, t])
+            obs[e, t + 1] = next_obs.vector()
     n_val = max(1, n_episodes // 20) if n_episodes >= 3 else 0
-    n_test = n_val
-    n_train = n_episodes - n_val - n_test
-    flat = lambda eps: [t for ep in eps for t in ep]
-    return DatasetSplits(
-        train=flat(episodes[:n_train]),
-        val=flat(episodes[n_train : n_train + n_val]),
-        test=flat(episodes[n_train + n_val :]),
-    )
+    n_train = n_episodes - 2 * n_val
+    part = lambda lo, hi: Episodes(obs[lo:hi], action[lo:hi], reward[lo:hi])
+    return DatasetSplits(train=part(0, n_train), val=part(n_train, n_train + n_val),
+                         test=part(n_train + n_val, n_episodes))
 
 
 # --- transition file io -----------------------------------------------------
 
-# Array name -> (per-record value, per-record shape).
-_TRANSITION_FIELDS = {
-    "image": (lambda t: t.obs.image, (IMAGE_SIZE, IMAGE_SIZE)),
-    "proprio": (lambda t: t.obs.proprio, (PROPRIO_DIM,)),
-    "action": (lambda t: t.action, (ACTION_DIM,)),
-    "next_image": (lambda t: t.next_obs.image, (IMAGE_SIZE, IMAGE_SIZE)),
-    "next_proprio": (lambda t: t.next_obs.proprio, (PROPRIO_DIM,)),
-    "reward": (lambda t: t.reward, ()),
-}
+# Array name -> shape; the names are the Episodes fields. check_arrays ties
+# E and T across arrays, and Episodes checks that obs has T+1 steps.
+_EPISODE_SHAPES = {"obs": ("e", "t+1", OBS_DIM), "action": ("e", "t", ACTION_DIM),
+                   "reward": ("e", "t")}
 
 
-def save_transitions(path, transitions):
-    n = len(transitions)
-    arrays = {
-        name: np.array([get(t) for t in transitions], dtype=np.float64).reshape(n, *shape)
-        for name, (get, shape) in _TRANSITION_FIELDS.items()
-    }
-    save_checkpoint(path, {"kind": "transitions"}, arrays)
+def save_transitions(path, episodes: Episodes):
+    save_checkpoint(path, {"kind": "transitions"},
+                    {name: getattr(episodes, name) for name in _EPISODE_SHAPES})
 
 
-def load_transitions(path):
-    """Raises MissingArtifact if the file is absent and a ValueError naming
-    it if it is not a well-formed transition file (see nets.load_checkpoint),
-    or if its arrays have other names or shapes or hold a non-finite value."""
+def load_transitions(path) -> Episodes:
+    """The Episodes saved at path. Raises MissingArtifact if the file is
+    absent and a ValueError naming it if it is not a well-formed transition
+    file (see nets.load_checkpoint), if its arrays have other names or shapes
+    (obs needs one step more than action and reward) or a non-finite value."""
     _, arrays = load_checkpoint(path, "transitions")
-    shapes = {name: ("n", *shape) for name, (_, shape) in _TRANSITION_FIELDS.items()}
-    return [
-        Transition(obs=Observation(image=img, proprio=pro), action=act,
-                   next_obs=Observation(image=img2, proprio=pro2), reward=float(r))
-        for img, pro, act, img2, pro2, r in zip(*check_arrays(path, arrays, shapes))
-    ]
+    obs, action, reward = check_arrays(path, arrays, _EPISODE_SHAPES)
+    try:
+        return Episodes(obs, action, reward)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def observation_matrix(transitions):
-    """Stack flattened current observations into an (N, OBS_DIM) array."""
-    return np.stack([t.obs.vector() for t in transitions])
+def observation_matrix(episodes: Episodes):
+    """The (E * T, OBS_DIM) current observations, in episode order."""
+    return episodes.obs[:, :-1].reshape(-1, OBS_DIM)

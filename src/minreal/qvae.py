@@ -342,13 +342,18 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
     and the summed saturation count). Each epoch's record is appended to
     log_path as a JSON line of stage "qvae". The checkpoint at ckpt_path is
     written after the last epoch, or on TrainingAbort with the parameters of
-    the last whole epoch before the abort is re-raised. Non-finite x_data is
-    a ValueError before any step, log line or checkpoint."""
-    x_data, _ = model.split_observation(x_data)
+    the last whole epoch before the abort is re-raised. Non-finite x_data,
+    or continuous-Bernoulli values outside [0, 1], is a ValueError before
+    any step, log line or checkpoint."""
+    x_data, blocks = model.split_observation(x_data)
     if x_data.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
     if not np.isfinite(x_data).all():
         raise ValueError("non-finite values in x_data")
+    for cls, block in zip(model.classes, blocks):
+        if cls.kind == "continuous_bernoulli" and ((block < 0) | (block > 1)).any():
+            raise ValueError(f"x_data values of continuous-Bernoulli class {cls.name!r} "
+                             "must lie in [0, 1]")
     report = check_sparsity_condition(model.qparams)
     if not report.satisfied:
         raise ConfigError(
@@ -421,18 +426,10 @@ def save_qvae(path, model: QvaeModel):
     header = {
         "kind": "qvae",
         "latent_dim": model.latent_dim,
-        "classes": [
-            {"name": c.name, "kind": c.kind, "width": c.width} for c in model.classes
-        ],
+        "classes": [dataclasses.asdict(c) for c in model.classes],
         "encoder": model.encoder.spec.to_dict(),
         "decoders": [d.spec.to_dict() for d in model.decoders],
-        "qparams": {
-            "q": model.qparams.q,
-            "class_qs": list(model.qparams.class_qs),
-            "class_weights": list(model.qparams.class_weights),
-            "beta": model.qparams.beta,
-            "gamma": model.qparams.gamma,
-        },
+        "qparams": dataclasses.asdict(model.qparams),
     }
     save_checkpoint(path, header, param_arrays(_nets(model)))
 

@@ -65,14 +65,6 @@ class DiagGaussian:
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "log_std", clamp_log_std_np(log_std))
 
-    @property
-    def std(self):
-        return np.exp(self.log_std)
-
-    @property
-    def dim(self):
-        return self.mean.shape[-1]
-
 
 @dataclasses.dataclass(frozen=True)
 class QParams:

@@ -133,24 +133,21 @@ class WorldDataset:
         return self.actions.shape[1]
 
 
-def encode_dataset(vae, mask, transitions) -> WorldDataset:
-    """Map raw transitions into latent space through the frozen encoder mean,
-    optionally dropping masked-out dimensions."""
-    if not transitions:
-        raise ValueError("transition list must be nonempty")
-    obs = np.stack([t.obs.vector() for t in transitions])
-    nxt = np.stack([t.next_obs.vector() for t in transitions])
-    s = vae.encode(obs).mean
-    sp = vae.encode(nxt).mean
+def encode_dataset(vae, mask, episodes) -> WorldDataset:
+    """Map env.Episodes into latent space through the frozen encoder mean,
+    optionally dropping masked-out dimensions. Every observation of every
+    episode is encoded once, in one call; step t's state is row t of its
+    episode and its next state row t+1. Rows are in episode order."""
+    if len(episodes) == 0:
+        raise ValueError("episodes must be nonempty")
+    e, steps, width = episodes.obs.shape
+    z = vae.encode(episodes.obs.reshape(e * steps, width)).mean
     if mask is not None:
-        s = apply_mask(s, mask)
-        sp = apply_mask(sp, mask)
-    return WorldDataset(
-        states=s,
-        actions=np.stack([t.action for t in transitions]),
-        next_states=sp,
-        rewards=np.array([t.reward for t in transitions]),
-    )
+        z = apply_mask(z, mask)
+    z = z.reshape(e, steps, -1)
+    rows = lambda a: a.reshape(e * (steps - 1), *a.shape[2:])
+    return WorldDataset(states=rows(z[:, :-1]), actions=rows(episodes.action),
+                        next_states=rows(z[:, 1:]), rewards=rows(episodes.reward))
 
 
 def _log_probs(model: WorldModel, dyn_out, rew_out, ds: WorldDataset):
@@ -291,12 +288,7 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
 
     def step(idx):
-        batch = WorldDataset(
-            states=train_ds.states[idx],
-            actions=train_ds.actions[idx],
-            next_states=train_ds.next_states[idx],
-            rewards=train_ds.rewards[idx],
-        )
+        batch = WorldDataset(*(getattr(train_ds, name)[idx] for name in _DATASET_SHAPES))
         loss, (dyn_nll, rew_nll) = wm_loss(model, batch)
         opt_dyn.zero_grad()
         opt_rew.zero_grad()

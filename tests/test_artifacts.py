@@ -36,7 +36,7 @@ KINDS = {
     "qvae": (_save_qvae, qvae.load_qvae),
     "world": (lambda p: world.save_world(p, world.build_world_model(2, 2, (4,), (4,))),
               world.load_world),
-    "transitions": (lambda p: env.save_transitions(p, env.collect_dataset(1).train[:3]),
+    "transitions": (lambda p: env.save_transitions(p, env.collect_dataset(1).train),
                     env.load_transitions),
     "world_dataset": (_save_world_dataset, world.load_world_dataset),
     "mask": (lambda p: latent.save_mask(p, latent.build_mask(np.array([0.3, 0.1]), 0.15)),
@@ -199,7 +199,25 @@ def test_missing_file(tmp_path, kind):
         KINDS[kind][1](tmp_path / "absent.art")
 
 
-def test_empty_transition_list_round_trips(tmp_path):
+def test_empty_episodes_round_trip(tmp_path):
     path = tmp_path / "empty.art"
-    env.save_transitions(path, [])
-    assert env.load_transitions(path) == []
+    empty = env.Episodes(np.zeros((0, env.EPISODE_LEN + 1, env.OBS_DIM)),
+                         np.zeros((0, env.EPISODE_LEN, env.ACTION_DIM)),
+                         np.zeros((0, env.EPISODE_LEN)))
+    env.save_transitions(path, empty)
+    back = env.load_transitions(path)
+    assert len(back) == 0 and list(back) == []
+    for name in ("obs", "action", "reward"):
+        assert getattr(back, name).shape == getattr(empty, name).shape
+
+
+@pytest.mark.parametrize("obs_steps", [env.EPISODE_LEN, env.EPISODE_LEN + 2])
+def test_transitions_obs_without_one_more_step_rejected(tmp_path, obs_steps):
+    path = tmp_path / "steps.art"
+    save_checkpoint(path, {"kind": "transitions"}, {
+        "obs": np.zeros((2, obs_steps, env.OBS_DIM)),
+        "action": np.zeros((2, env.EPISODE_LEN, env.ACTION_DIM)),
+        "reward": np.zeros((2, env.EPISODE_LEN)),
+    })
+    with pytest.raises(ValueError, match=path.name + ".*obs"):
+        env.load_transitions(path)

@@ -35,6 +35,38 @@ def decode_image(img):
     return pos, bar_height
 
 
+def straight_line_splits(n_episodes, seed):
+    """Oracle: per-record collection, one Transition at a time with one RNG
+    stream per episode, split 90/5/5 by episode into flat record lists."""
+    episodes = []
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
+        rng = np.random.default_rng(child)
+        state = env.initial_state(rng)
+        obs = env.observe(state)
+        records = []
+        for _ in range(env.EPISODE_LEN):
+            action = env.scripted_action(state, rng, env.DEFAULT_NOISE_STD)
+            state, reward, next_obs = env.env_step(state, action)
+            records.append(env.Transition(obs, action, next_obs, reward))
+            obs = next_obs
+        episodes.append(records)
+    n_val = max(1, n_episodes // 20) if n_episodes >= 3 else 0
+    bounds = [0, n_episodes - 2 * n_val, n_episodes - n_val, n_episodes]
+    return [[t for ep in episodes[lo:hi] for t in ep] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def assert_records_equal(got, want):
+    got = list(got)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        for field in ("obs", "next_obs"):
+            for part in ("image", "proprio"):
+                x, y = getattr(getattr(a, field), part), getattr(getattr(b, field), part)
+                assert x.shape == y.shape and x.tobytes() == y.tobytes()
+        assert a.action.tobytes() == b.action.tobytes()
+        assert type(a.reward) is float and a.reward == b.reward
+
+
 class TestEnvStep:
     def test_reward_zero_at_target_rest(self):
         s = make_state([env.TARGET_X, 0.3], target_height=0.3)
@@ -153,6 +185,56 @@ class TestCollect:
     def test_zero_episodes_rejected(self):
         with pytest.raises(ConfigError):
             env.collect_dataset(0)
+
+
+def make_episodes(e=2, t=3, seed=0):
+    rng = np.random.default_rng(seed)
+    return env.Episodes(rng.uniform(size=(e, t + 1, env.OBS_DIM)),
+                        rng.normal(size=(e, t, env.ACTION_DIM)), rng.normal(size=(e, t)))
+
+
+class TestEpisodes:
+    @pytest.mark.parametrize("obs, action, reward", [
+        ((2, 3, env.OBS_DIM), (2, 3, env.ACTION_DIM), (2, 3)),  # obs lacks a step
+        ((2, 5, env.OBS_DIM), (2, 3, env.ACTION_DIM), (2, 3)),
+        ((2, 4, env.OBS_DIM - 1), (2, 3, env.ACTION_DIM), (2, 3)),
+        ((2, 4, env.OBS_DIM), (2, 3, env.ACTION_DIM + 1), (2, 3)),
+        ((2, 4, env.OBS_DIM), (2, 2, env.ACTION_DIM), (2, 3)),
+        ((2, 4, env.OBS_DIM), (2, 3, env.ACTION_DIM), (1, 3)),
+        ((2, 4, env.OBS_DIM), (2, 3, env.ACTION_DIM), (6,)),
+        ((8, env.OBS_DIM), (2, 3, env.ACTION_DIM), (2, 3)),
+    ])
+    def test_shape_mismatch_rejected(self, obs, action, reward):
+        with pytest.raises(ValueError, match="expected"):
+            env.Episodes(np.zeros(obs), np.zeros(action), np.zeros(reward))
+
+    def test_len_counts_transitions(self):
+        assert len(make_episodes(e=2, t=3)) == 6
+        assert len(make_episodes(e=0, t=3)) == 0
+
+    def test_add_concatenates_in_episode_order(self):
+        a, b = make_episodes(e=2, seed=1), make_episodes(e=1, seed=2)
+        for x, y in ((a + b, (a, b)), (b + a, (b, a))):
+            assert len(x) == 9
+            for name in ("obs", "action", "reward"):
+                np.testing.assert_array_equal(
+                    getattr(x, name), np.concatenate([getattr(y[0], name), getattr(y[1], name)]))
+        assert_records_equal(a + b, list(a) + list(b))
+
+    def test_record_views_equal_straight_line_records(self):
+        ds = env.collect_dataset(25, seed=11)
+        want = straight_line_splits(25, seed=11)
+        assert [len(s) // env.EPISODE_LEN for s in want] == [23, 1, 1]
+        for got, records in zip((ds.train, ds.val, ds.test), want):
+            assert_records_equal(got, records)
+        assert_records_equal(ds.train + ds.val + ds.test, [t for s in want for t in s])
+
+    def test_observation_matrix_equals_stacked_vectors(self):
+        ds = env.collect_dataset(3, seed=4)
+        for episodes in (ds.train, ds.train + ds.val + ds.test, make_episodes()):
+            got = env.observation_matrix(episodes)
+            want = np.stack([t.obs.vector() for t in episodes])
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
 
 class TestTransitionFile:

@@ -522,6 +522,20 @@ class TestTraining:
         for p, b in zip(model.parameters(), before):
             assert p.data.tobytes() == b.tobytes()
 
+    @pytest.mark.parametrize("bad", [3.0, -0.5])
+    def test_continuous_bernoulli_data_outside_unit_interval_rejected(self, tmp_path, bad):
+        model = tiny_model(seed=25)
+        before = [p.data.copy() for p in model.parameters()]
+        x, _ = tiny_batch(model, 32, seed=19)
+        x[7, 2:] = bad  # the image (continuous-Bernoulli) block of one row
+        log, ckpt = tmp_path / "train.log", tmp_path / "m.ckpt"
+        with pytest.raises(ValueError, match="x_data.*image"):
+            train_qvae(model, x, TrainConfig(epochs=2, batch_size=8, seed=0),
+                       log_path=log, ckpt_path=ckpt)
+        assert not log.exists() and not ckpt.exists()
+        for p, b in zip(model.parameters(), before):
+            assert p.data.tobytes() == b.tobytes()
+
     def test_condition_checked_before_training(self):
         bad = QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0),
                       beta=5.0, gamma=3.0)

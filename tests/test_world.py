@@ -208,28 +208,47 @@ class TestEncodeDataset:
             classes, latent_dim=6, qparams=qp, encoder_hidden=(32,),
             decoder_hidden=[(8,), (32,)], seed=0,
         )
-        self.transitions = env.collect_dataset(2, seed=3).train
+        self.episodes = env.collect_dataset(2, seed=3).train
 
     def test_identity_mask_keeps_width(self):
-        ds = encode_dataset(self.vae, None, self.transitions)
+        ds = encode_dataset(self.vae, None, self.episodes)
         assert ds.state_dim == 6
-        assert len(ds) == len(self.transitions)
+        assert len(ds) == len(self.episodes)
 
     def test_masked_width(self):
         mask = build_mask(np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), 0.5)
-        ds = encode_dataset(self.vae, mask, self.transitions)
+        ds = encode_dataset(self.vae, mask, self.episodes)
         assert ds.state_dim == 3
 
     def test_states_are_masked_encoder_means(self):
         mask = build_mask(np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), 0.5)
-        ds = encode_dataset(self.vae, mask, self.transitions)
-        obs = np.stack([t.obs.vector() for t in self.transitions])
+        ds = encode_dataset(self.vae, mask, self.episodes)
+        obs = np.stack([t.obs.vector() for t in self.episodes])
         expected = self.vae.encode(obs).mean[:, mask.keep]
         np.testing.assert_array_equal(ds.states, expected)
 
+    @pytest.mark.parametrize("keep", [None, [1.0, 0.0, 1.0, 0.0, 1.0, 0.0]])
+    def test_equals_two_stack_oracle(self, keep):
+        # the straight-line form: encode every record's obs and next_obs
+        # separately, then mask each
+        mask = None if keep is None else build_mask(np.array(keep), 0.5)
+        splits = env.collect_dataset(3, seed=5)
+        episodes = splits.train + splits.val + splits.test
+        obs = np.stack([t.obs.vector() for t in episodes])
+        nxt = np.stack([t.next_obs.vector() for t in episodes])
+        s, sp = self.vae.encode(obs).mean, self.vae.encode(nxt).mean
+        if mask is not None:
+            s, sp = s[:, mask.keep], sp[:, mask.keep]
+        ds = encode_dataset(self.vae, mask, episodes)
+        for got, want in ((ds.states, s), (ds.next_states, sp),
+                          (ds.actions, np.stack([t.action for t in episodes])),
+                          (ds.rewards, np.array([t.reward for t in episodes]))):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
     def test_deterministic(self):
-        a = encode_dataset(self.vae, None, self.transitions)
-        b = encode_dataset(self.vae, None, self.transitions)
+        a = encode_dataset(self.vae, None, self.episodes)
+        b = encode_dataset(self.vae, None, self.episodes)
         assert a.states.tobytes() == b.states.tobytes()
 
 
