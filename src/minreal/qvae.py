@@ -164,8 +164,12 @@ class QvaeModel:
                 log_std = clamp_log_std_np(raw[:, cls.width :])
                 out.append((mean, log_std))
             else:
-                lam = 1.0 / (1.0 + np.exp(-np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP)))
-                out.append(lam)
+                # The sigmoid runs in place in raw, a fresh forward_np output,
+                # so the sigmoid allocates no image-sized temporaries.
+                lam = np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP, out=raw)
+                np.exp(np.negative(lam, out=lam), out=lam)
+                lam += 1.0
+                out.append(np.divide(1.0, lam, out=lam))
         return out
 
     def reconstruct(self, x):

@@ -8,12 +8,33 @@ tape-free on those of Mlp.forward_np.
 
 rollout() accepts anything exposing dynamics_mean(s, a) and reward_mean(s, a)
 over batched arrays, so analytic test models plug in directly.
+
+rollout_batch() scores candidates in blocks of ROLLOUT_BLOCK_ROWS rows on
+ROLLOUT_WORKERS threads, the number of CPUs in the process's affinity set:
+the calling thread takes blocks 0, n, 2n, ... and each of n - 1 pool
+threads, created on first use, takes every n-th block from its own offset.
+Most of a block's time is single-threaded numpy (tanh, layer norm, bias
+adds) that releases the interpreter lock, so the threads overlap. While they
+run, numpy's bundled OpenBLAS is held at one thread through ctypes, so its
+own threads do not compete with them; its earlier count is restored in a
+finally, under a module lock that lets one caller at a time hold it. With
+no OpenBLAS found the limit is skipped. A single block runs on the calling
+thread with neither the pool nor the limit. Scores stay bitwise equal to
+scoring the blocks one after another: each block runs the same code on the
+same rows, depends on nothing outside itself and writes its own slice.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
+import contextlib
+import ctypes
 import dataclasses
 import functools
+import glob
+import os
+import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -39,6 +60,11 @@ from .latent import apply_mask
 # stay in a 2 MB L2 cache instead of streaming K-row temporaries through DRAM
 # on every layer op.
 ROLLOUT_BLOCK_ROWS = 1024
+
+# rollout_batch scores its blocks on this many threads, one per CPU this
+# process may run on.
+ROLLOUT_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
 
 # Hidden widths scale with the input so masking shrinks the whole network,
 # not just its first layer (the planner's per-candidate cost then drops
@@ -235,26 +261,101 @@ def rollout_batch(model, s0, action_seqs):
     times per block. Scores equal the reward sums of K independent rollout()
     calls within rounding (BLAS may round a block's rows differently from a
     single row), each summed in step order.
+
+    With more than one block, the blocks are spread over ROLLOUT_WORKERS
+    threads: the calling thread scores blocks 0, n, 2n, ... and pool thread
+    i, for 1 <= i < n, scores blocks i, i + n, and so on. numpy's OpenBLAS
+    is held at one thread meanwhile and its earlier count restored on
+    return or raise.
+    An exception raised in a pool thread reaches the caller unchanged. The
+    scores are bitwise equal to scoring the blocks one after another on one
+    thread (see the module docstring).
     """
     action_seqs = np.asarray(action_seqs, dtype=np.float64)
     k, horizon, _ = action_seqs.shape
     s0 = np.asarray(s0, dtype=np.float64)
     scores = np.empty(k)
-    for lo in range(0, k, ROLLOUT_BLOCK_ROWS):
-        block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
-        s = np.tile(s0, (block.shape[0], 1))
-        total = np.zeros(block.shape[0])
-        alive = np.ones(block.shape[0], dtype=bool)
-        for t in range(horizon):
-            a = block[:, t, :]
-            r = model.reward_mean(s, a)
-            alive &= np.isfinite(r)
-            total = np.where(alive, total + r, -np.inf)
-            if t + 1 < horizon:
-                s = model.dynamics_mean(s, a)
-                alive &= np.all(np.isfinite(s), axis=1)
-        scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
+
+    def score(starts):
+        for lo in starts:
+            block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
+            s = np.tile(s0, (block.shape[0], 1))
+            total = np.zeros(block.shape[0])
+            alive = np.ones(block.shape[0], dtype=bool)
+            for t in range(horizon):
+                a = block[:, t, :]
+                r = model.reward_mean(s, a)
+                alive &= np.isfinite(r)
+                total = np.where(alive, total + r, -np.inf)
+                if t + 1 < horizon:
+                    s = model.dynamics_mean(s, a)
+                    alive &= np.all(np.isfinite(s), axis=1)
+            scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
+
+    starts = range(0, k, ROLLOUT_BLOCK_ROWS)
+    n = min(ROLLOUT_WORKERS, len(starts))
+    if n <= 1:
+        score(starts)
+        return scores
+    with _parallel_lock, _one_blas_thread():
+        futures = [_rollout_pool().submit(score, starts[i::n]) for i in range(1, n)]
+        try:
+            score(starts[::n])
+        finally:
+            concurrent.futures.wait(futures)
+        for future in futures:
+            future.result()
     return scores
+
+
+# Held by the one rollout_batch call at a time that runs blocks in parallel,
+# so two callers cannot interleave their BLAS thread-count saves and restores
+# and leave the count at 1. It also guards the lazy pool creation.
+_parallel_lock = threading.Lock()
+_pool = None
+
+
+def _rollout_pool():
+    global _pool
+    if _pool is None:
+        _pool = concurrent.futures.ThreadPoolExecutor(
+            ROLLOUT_WORKERS - 1, thread_name_prefix="minreal-rollout")
+    return _pool
+
+
+@functools.cache
+def _openblas_thread_functions():
+    """(get, set) ctypes functions for the thread count of the OpenBLAS that
+    numpy bundles (numpy.libs/libscipy_openblas*), or None if there is none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(glob.glob(str(libs / "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        for suffix in ("64_", ""):
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's OpenBLAS at one thread, restoring its count on exit; a
+    no-op without one. The count is process-wide, so callers hold
+    _parallel_lock."""
+    blas = _openblas_thread_functions()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
 
 
 # --- training ----------------------------------------------------------------

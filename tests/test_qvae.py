@@ -10,6 +10,7 @@ import pytest
 from minreal import autodiff as ad
 from minreal.errors import ConfigError, TrainingAbort
 from minreal.qvae import (
+    CB_LOGIT_CLAMP,
     ObservationClass,
     QvaeModel,
     TrainConfig,
@@ -172,6 +173,16 @@ class TestEncodeDecode:
         np.testing.assert_allclose(
             out[1], 1.0 / (1.0 + np.exp(-np.clip(raw_c, -15, 15))), atol=1e-12
         )
+
+    def test_cb_lambda_bitwise_equal_to_sigmoid_expression(self):
+        # decode's in-place sigmoid against the expression it replaced, on
+        # logits both inside and beyond the clamp
+        model = tiny_model(seed=6)
+        model.decoders[1].params[-1].data = np.array([-30.0, -1.0, 2.0, 30.0])
+        z = np.random.default_rng(4).normal(size=(50, 3))
+        raw = model.decoders[1].forward_np(z)
+        expected = 1.0 / (1.0 + np.exp(-np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP)))
+        assert model.decode(z)[1].tobytes() == expected.tobytes()
 
     def test_class_order_validation(self):
         bad = (

@@ -1,15 +1,22 @@
 """World model: NLL loss, rollouts, dataset encoding, persistence."""
 
+import ctypes
+import glob
 import json
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from minreal import cem
 from minreal.latent import build_mask
 from minreal.qvae import ObservationClass, build_qvae
 from minreal.tsallis import QParams
 from minreal.world import (
     ROLLOUT_BLOCK_ROWS,
+    ROLLOUT_WORKERS,
     WorldDataset,
     WorldTrainConfig,
     build_world_model,
@@ -48,12 +55,85 @@ class Explodes(AnalyticModel):
 
 
 class CountingModel(AnalyticModel):
+    # rollout_batch may call it from several threads at once.
     def __init__(self):
         self.dyn_calls = 0
+        self._lock = threading.Lock()
 
     def dynamics_mean(self, s, a):
-        self.dyn_calls += 1
+        with self._lock:
+            self.dyn_calls += 1
         return super().dynamics_mean(s, a)
+
+
+def sequential_rollout_batch(model, s0, action_seqs):
+    """rollout_batch's blocks scored one after another on the calling
+    thread, with no BLAS thread limit: the oracle rollout_batch must equal
+    bit for bit."""
+    action_seqs = np.asarray(action_seqs, dtype=np.float64)
+    k, horizon, _ = action_seqs.shape
+    s0 = np.asarray(s0, dtype=np.float64)
+    scores = np.empty(k)
+    for lo in range(0, k, ROLLOUT_BLOCK_ROWS):
+        block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
+        s = np.tile(s0, (block.shape[0], 1))
+        total = np.zeros(block.shape[0])
+        alive = np.ones(block.shape[0], dtype=bool)
+        for t in range(horizon):
+            a = block[:, t, :]
+            r = model.reward_mean(s, a)
+            alive &= np.isfinite(r)
+            total = np.where(alive, total + r, -np.inf)
+            if t + 1 < horizon:
+                s = model.dynamics_mean(s, a)
+                alive &= np.all(np.isfinite(s), axis=1)
+        scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
+    return scores
+
+
+def _find_blas_thread_count():
+    """The thread-count getter of numpy's bundled OpenBLAS, found apart
+    from minreal's own lookup, or None."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in glob.glob(str(libs / "libscipy_openblas*")):
+        lib = ctypes.CDLL(path)
+        for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_int
+                return fn
+    return None
+
+
+BLAS_THREADS = _find_blas_thread_count()
+
+
+def blas_threads():
+    """OpenBLAS's thread count, or None when no OpenBLAS is found (the
+    count assertions then compare None with None)."""
+    return None if BLAS_THREADS is None else BLAS_THREADS()
+
+
+class RecordingModel(AnalyticModel):
+    """Records the BLAS thread count and the thread of every reward call."""
+
+    def __init__(self):
+        self.seen = []
+
+    def reward_mean(self, s, a):
+        self.seen.append((blas_threads(), threading.current_thread()))
+        return super().reward_mean(s, a)
+
+
+class FailsInPoolThread(AnalyticModel):
+    """Raises one ValueError object from any thread but the main one."""
+
+    error = ValueError("raised in a pool thread")
+
+    def reward_mean(self, s, a):
+        if threading.current_thread() is not threading.main_thread():
+            raise self.error
+        return super().reward_mean(s, a)
 
 
 def constant_world_model(mean_bias=0.0, ls_bias=0.0, r_bias=0.0, r_ls_bias=0.0):
@@ -194,6 +274,101 @@ class TestRollout:
             scores[rest], rollout_batch(Explodes(), np.zeros(1), cands[rest])
         )
         assert np.all(np.isfinite(scores[rest]))
+
+
+def planner_candidates(k, state_dim, seed):
+    """k planner-shaped candidates (6 steps, 2 action dims) and a start
+    state; the last candidate's actions turn NaN at step 1, so it explodes
+    in the last block."""
+    rng = np.random.default_rng(seed)
+    cands = rng.uniform(-1.0, 1.0, size=(k, 6, 2))
+    if k:
+        cands[-1, 1:] = np.nan
+    return rng.normal(scale=0.3, size=state_dim), cands
+
+
+class TestParallelRollout:
+    @pytest.mark.parametrize("k", [0, 1, 1000, ROLLOUT_BLOCK_ROWS, ROLLOUT_BLOCK_ROWS + 1, 10_000])
+    @pytest.mark.parametrize("state_dim", [20, 5])
+    def test_bitwise_equal_to_sequential_blocks(self, state_dim, k):
+        model = build_world_model(state_dim, 2, seed=state_dim)
+        s0, cands = planner_candidates(k, state_dim, seed=k)
+        scores = rollout_batch(model, s0, cands)
+        expected = sequential_rollout_batch(model, s0, cands)
+        assert scores.tobytes() == expected.tobytes()
+        if k:
+            assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+
+    def test_plan_at_planner_size_repeats_bytes(self):
+        model = build_world_model(20, 2, seed=11)
+        cfg = cem.CemConfig(action_low=-np.ones(2), action_high=np.ones(2),
+                            candidates=10_000, max_iters=3)
+        s0 = np.random.default_rng(3).normal(scale=0.3, size=20)
+        (a1, d1), (a2, d2) = (cem.plan(model, s0, cfg, seed=5) for _ in range(2))
+        assert a1.tobytes() == a2.tobytes()
+        assert d1.final_policy.mean.tobytes() == d2.final_policy.mean.tobytes()
+        assert d1.best_score == d2.best_score
+
+    def test_blocks_share_threads_and_blas_held_at_one(self):
+        model = RecordingModel()
+        before = blas_threads()
+        rollout_batch(model, np.zeros(1), np.zeros((3 * ROLLOUT_BLOCK_ROWS, 2, 1)))
+        assert blas_threads() == before
+        threads = {thread for _, thread in model.seen}
+        assert threading.main_thread() in threads
+        assert (len(threads) > 1) == (ROLLOUT_WORKERS > 1)
+        if ROLLOUT_WORKERS > 1 and before is not None:
+            assert {count for count, _ in model.seen} == {1}
+
+    def test_single_block_uses_calling_thread_and_blas_count(self):
+        model = RecordingModel()
+        before = blas_threads()
+        rollout_batch(model, np.zeros(1), np.zeros((ROLLOUT_BLOCK_ROWS, 2, 1)))
+        assert set(model.seen) == {(before, threading.main_thread())}
+
+    def test_blas_count_restored_after_wrong_state_width(self):
+        model = build_world_model(3, 2, seed=0)
+        before = blas_threads()
+        with pytest.raises(ValueError, match="expected state 3"):
+            rollout_batch(model, np.zeros(4), np.zeros((3 * ROLLOUT_BLOCK_ROWS, 2, 2)))
+        assert blas_threads() == before
+
+    @pytest.mark.skipif(ROLLOUT_WORKERS < 2, reason="one CPU: no pool thread")
+    def test_pool_thread_error_reaches_caller_unchanged(self):
+        before = blas_threads()
+        with pytest.raises(ValueError) as info:
+            rollout_batch(FailsInPoolThread(), np.zeros(1),
+                          np.zeros((2 * ROLLOUT_BLOCK_ROWS, 2, 1)))
+        assert info.value is FailsInPoolThread.error
+        assert blas_threads() == before
+
+    def test_concurrent_callers_get_their_own_scores(self):
+        # More callers than CPUs, switching threads often: each must get the
+        # scores it gets alone, and the BLAS count must end where it began.
+        model = build_world_model(5, 2, seed=1)
+        jobs = [planner_candidates(2 * ROLLOUT_BLOCK_ROWS + 100, 5, seed=i)
+                for i in range(2 * ROLLOUT_WORKERS + 1)]
+        alone = [rollout_batch(model, s0, cands) for s0, cands in jobs]
+        before = blas_threads()
+        results = [None] * len(jobs)
+
+        def call(i):
+            results[i] = rollout_batch(model, *jobs[i])
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for got, want in zip(results, alone):
+            assert got is not None and got.tobytes() == want.tobytes()
+        assert blas_threads() == before
 
 
 class TestEncodeDataset:
