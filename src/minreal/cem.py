@@ -6,7 +6,13 @@ A planned sequence covers horizon + 1 control steps (rewards are summed from
 the current step through the horizon), so policy tensors have H + 1 rows.
 Candidate scoring is a pure, vectorized rollout against a frozen model;
 scores are reduced in candidate-index order so elite tie-breaking is
-deterministic.
+deterministic. plan() ranks candidates in float32: it scores a float32 copy
+of the candidates, so rollout_batch runs the model on float32 states and
+actions, which halves the bytes every layer op moves, while scores
+accumulate in float64. The elites are refitted
+from the float64 candidates in candidate order, so whenever float32 scoring
+selects the same elite set as float64 scoring would, in whatever order, the
+policy is bitwise the same.
 """
 
 from __future__ import annotations
@@ -138,6 +144,9 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
     """Iterate sample -> score -> elite refit -> smooth update until the
     iteration cap or time budget (checked between iterations) runs out.
 
+    Candidates are ranked by float32 rollouts and refitted in float64 (see
+    the module docstring).
+
     Returns (first action, PlanDiagnostics). With a fixed seed and no time
     budget the result is deterministic. If no iteration completes, the
     initial policy mean is returned with a warning flag.
@@ -160,10 +169,12 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
             break
         candidates = sample_candidates(policy, config.candidates, config.action_low,
                                        config.action_high, rng)
-        scores = rollout_batch(model, s0, candidates)
+        scores = rollout_batch(model, s0, candidates.astype(np.float32))
         elite_idx = select_elites(scores, config.elite_ratio)
         best_score = max(best_score, float(scores[elite_idx[0]]))
-        policy = smooth_update(policy, refit_policy(candidates[elite_idx]),
+        # Refitted in candidate order: the policy depends on the elite set
+        # alone, not on how float32 scores order it.
+        policy = smooth_update(policy, refit_policy(candidates[np.sort(elite_idx)]),
                                config.smoothing)
         iters += 1
 

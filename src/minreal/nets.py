@@ -10,9 +10,20 @@ runs the same density code as the losses and reads .data.
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Networks come in two flavors per
 instance: forward() records the autodiff graph for training; forward_np() is
-the tape-free inference path used for dataset encoding and planning. The two
-compute the same function and agree to rounding: the graph path's swish and
-layer norm multiply by a reciprocal where the tape-free path divides.
+the tape-free inference path used for dataset encoding and planning.
+
+forward() is row-major: (batch, features). forward_np() is feature-major: it
+works on the transposed input, so each layer computes W.T @ h + b[:, None]
+on (features, batch) and layer normalization reduces along axis 0, the
+feature axis, with contiguous row adds and row broadcasts in place of
+per-row reductions and column broadcasts. It returns the transpose, a
+(batch, out) view. Its dtype follows its input: float32 for a float32 array
+(the weights are cast on each call), float64 for everything else.
+
+The two paths compute the same function and agree to rounding, float32
+rounding for a float32 input: they sum in different orders, and the graph
+path's swish and layer norm multiply by a reciprocal where the tape-free
+path divides.
 """
 
 from __future__ import annotations
@@ -124,23 +135,34 @@ class Mlp:
         return h
 
     def forward_np(self, x) -> np.ndarray:
-        """Tape-free forward pass over a plain array (batch, in_dim)."""
-        h = np.asarray(x, dtype=np.float64)
-        if h.ndim == 1:
-            h = h[None, :]
-        if h.shape[1] != self.spec.in_dim:
+        """Tape-free forward pass over a plain array (batch, in_dim), in
+        float32 for a float32 x and in float64 for any other input; see the
+        module docstring for the layout."""
+        dtype = float_dtype(x)
+        x = np.asarray(x, dtype=dtype)
+        if x.ndim == 1:
+            x = x[None, :]
+        if x.shape[1] != self.spec.in_dim:
             raise ValueError(
-                f"expected input (batch, {self.spec.in_dim}), got {h.shape}"
+                f"expected input (batch, {self.spec.in_dim}), got {x.shape}"
             )
+        h = x.T
         n = self.n_layers
         for i in range(n):
             w, b = self.params[2 * i], self.params[2 * i + 1]
             # The product is a fresh array, so the caller's x is never written.
-            h = h @ w.data
-            h += b.data
+            h = w.data.astype(dtype, copy=False).T @ h
+            h += b.data.astype(dtype, copy=False)[:, None]
             if i < n - 1:
                 h = self._hidden(h, is_graph=False)
-        return h
+        return h.T
+
+
+def float_dtype(x):
+    """float32 for a float32 array, float64 for anything else (other
+    dtypes, lists, scalars): the dtype forward_np and the rollouts compute
+    in."""
+    return np.float32 if getattr(x, "dtype", None) == np.float32 else np.float64
 
 
 # Tape-free helpers: both write their result into an array passed in rather
@@ -153,8 +175,12 @@ def _swish_np(x, out):
 
 
 def _layer_norm_np(x, eps=1e-5):
-    x -= x.mean(axis=-1, keepdims=True)
-    var = (x * x).mean(axis=-1, keepdims=True)
+    """Normalizes each column of a feature-major (features, batch) array.
+    The sums are sum and einsum calls: the same means as mean() without its
+    per-call overhead, and no (features, batch) temporary for the squares."""
+    n = x.shape[0]
+    x -= x.sum(axis=0) / n
+    var = np.einsum("ij,ij->j", x, x) / n
     var += eps
     x /= np.sqrt(var, out=var)
     return x

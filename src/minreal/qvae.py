@@ -206,8 +206,10 @@ class QvaeModel:
 def recon_mse(model: QvaeModel, x) -> float:
     """Mean squared reconstruction error per observation feature."""
     x, _ = model.split_observation(x)
-    recon = model.reconstruct(x)
-    return float(np.mean((recon - x) ** 2))
+    # In place in reconstruct's fresh output: no second array of its size.
+    err = model.reconstruct(x)
+    err -= x
+    return float(np.mean(np.square(err, out=err)))
 
 
 def _bracket_values(logps, qparams: QParams):

@@ -7,7 +7,10 @@ _log_probs: the loss on the graph outputs of Mlp.forward, the held-out NLL
 tape-free on those of Mlp.forward_np.
 
 rollout() accepts anything exposing dynamics_mean(s, a) and reward_mean(s, a)
-over batched arrays, so analytic test models plug in directly.
+over batched arrays, so analytic test models plug in directly. Both rollouts
+run the model in the dtype of their actions, float32 for a float32 array and
+float64 otherwise (the planner passes float32), and keep rewards and scores
+in float64.
 
 rollout_batch() scores candidates in blocks of ROLLOUT_BLOCK_ROWS rows on
 ROLLOUT_WORKERS threads, the number of CPUs in the process's affinity set:
@@ -20,8 +23,9 @@ own threads do not compete with them; its earlier count is restored in a
 finally, under a module lock that lets one caller at a time hold it. With
 no OpenBLAS found the limit is skipped. A single block runs on the calling
 thread with neither the pool nor the limit. Scores stay bitwise equal to
-scoring the blocks one after another: each block runs the same code on the
-same rows, depends on nothing outside itself and writes its own slice.
+scoring the blocks one after another, in either dtype: each block runs the
+same code on the same rows, depends on nothing outside itself and writes its
+own slice.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .nets import (
     check_arrays,
     clamp_log_std_t,
     fit,
+    float_dtype,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -103,14 +108,22 @@ class WorldModel:
         return list(self.dynamics.params) + list(self.reward.params)
 
     def _join(self, s, a):
-        s = np.atleast_2d(np.asarray(s, dtype=np.float64))
-        a = np.atleast_2d(np.asarray(a, dtype=np.float64))
-        if s.shape[1] != self.state_dim or a.shape[1] != self.action_dim:
+        """(batch, state + action) network input, float32 when s is and
+        float64 otherwise. It is the transpose of a feature-major array, the
+        layout Mlp.forward_np works in, so its first product reads it
+        without a copy."""
+        s = np.atleast_2d(s)
+        a = np.atleast_2d(a)
+        if (s.ndim != 2 or a.ndim != 2 or s.shape[1] != self.state_dim
+                or a.shape[1] != self.action_dim or s.shape[0] != a.shape[0]):
             raise ValueError(
                 f"expected state {self.state_dim} / action {self.action_dim}, "
                 f"got {s.shape} / {a.shape}"
             )
-        return np.hstack([s, a])
+        x = np.empty((self.state_dim + self.action_dim, s.shape[0]), dtype=float_dtype(s))
+        x[: self.state_dim] = s.T
+        x[self.state_dim :] = a.T
+        return x.T
 
     # The planner reads only the means, so these skip the log-std clamp.
     def dynamics_mean(self, s, a):
@@ -227,11 +240,15 @@ def rollout(model, s0, actions):
     -inf markers. A non-finite state s_{t+1} does the same from states[t] and
     rewards[t + 1] on, since r_t was computed before it; the final state feeds
     no reward. The reward sum thus equals rollout_batch's score to rounding.
+
+    The model runs in float32 when actions is a float32 array and in
+    float64 otherwise; s0 is cast to that dtype, and states have it.
     """
-    s0 = np.asarray(s0, dtype=np.float64)
-    actions = np.asarray(actions, dtype=np.float64)
+    dtype = float_dtype(actions)
+    actions = np.asarray(actions, dtype=dtype)
+    s0 = np.asarray(s0, dtype=dtype)
     h = actions.shape[0]
-    states = np.empty((h, s0.shape[-1]))
+    states = np.empty((h, s0.shape[-1]), dtype=dtype)
     rewards = np.full(h, -np.inf)
     s = np.atleast_2d(s0)
     for t in range(h):
@@ -262,6 +279,10 @@ def rollout_batch(model, s0, action_seqs):
     calls within rounding (BLAS may round a block's rows differently from a
     single row), each summed in step order.
 
+    The model runs in float32 when action_seqs is a float32 array and in
+    float64 otherwise, with s0 cast to that dtype; scores are float64
+    either way, and each candidate's rewards are added to its float64 total.
+
     With more than one block, the blocks are spread over ROLLOUT_WORKERS
     threads: the calling thread scores blocks 0, n, 2n, ... and pool thread
     i, for 1 <= i < n, scores blocks i, i + n, and so on. numpy's OpenBLAS
@@ -269,11 +290,12 @@ def rollout_batch(model, s0, action_seqs):
     return or raise.
     An exception raised in a pool thread reaches the caller unchanged. The
     scores are bitwise equal to scoring the blocks one after another on one
-    thread (see the module docstring).
+    thread, in either dtype (see the module docstring).
     """
-    action_seqs = np.asarray(action_seqs, dtype=np.float64)
+    dtype = float_dtype(action_seqs)
+    action_seqs = np.asarray(action_seqs, dtype=dtype)
     k, horizon, _ = action_seqs.shape
-    s0 = np.asarray(s0, dtype=np.float64)
+    s0 = np.asarray(s0, dtype=dtype)
     scores = np.empty(k)
 
     def score(starts):

@@ -217,17 +217,20 @@ class TestMlp:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(5, 4))
 
-        h = x
+        # Feature-major, as forward_np computes: h is (features, batch) and
+        # layer norm reduces along axis 0.
+        h = x.T
         for i in range(3):
             w = net.params[2 * i].data
             b = net.params[2 * i + 1].data
-            h = h @ w + b
+            h = w.T @ h + b[:, None]
             if i < 2:
                 h = h / (1.0 + np.exp(-h))
-                mu = h.mean(axis=-1, keepdims=True)
+                mu = h.sum(axis=0) / h.shape[0]
                 xc = h - mu
-                var = (xc * xc).mean(axis=-1, keepdims=True)
+                var = np.einsum("ij,ij->j", xc, xc) / h.shape[0]
                 h = xc / np.sqrt(var + 1e-5)
+        h = h.T
         graph_out = net.forward(x)
         np.testing.assert_allclose(graph_out.data, h, atol=1e-10)
         # Same ops in the same order as the oracle, so the same bits.

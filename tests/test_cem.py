@@ -14,7 +14,7 @@ from minreal.cem import (
     smooth_update,
 )
 from minreal.errors import ConfigError
-from minreal.world import rollout_batch
+from minreal.world import build_world_model, rollout_batch
 
 UNBOUNDED = (-np.inf, np.inf)
 
@@ -208,6 +208,32 @@ class TestPlan:
             policy = smooth_update(policy, refit, cfg.smoothing)
             assert np.all(policy.mean >= seen_lo - 1e-12)
             assert np.all(policy.mean <= seen_hi + 1e-12)
+
+    def test_closed_loop_matches_float64_reference(self):
+        # plan() ranks in float32 and refits in float64. Over a warm-started
+        # loop at planner width it must select what float64 scores select,
+        # so its actions and policies equal, byte for byte, those of a
+        # float64 loop built from cem's own steps.
+        model = build_world_model(20, 2, seed=3)
+        cfg = CemConfig(action_low=-np.ones(2), action_high=np.ones(2))
+        s = np.random.default_rng(4).normal(scale=0.3, size=20)
+        policy = ref = cfg.initial_policy()
+        for step in range(5):
+            action, diag = plan(model, s, cfg, seed=[9, step], initial_policy=policy)
+            rng = np.random.default_rng([9, step])
+            for _ in range(cfg.max_iters):
+                cands = sample_candidates(ref, cfg.candidates, cfg.action_low,
+                                          cfg.action_high, rng)
+                idx = select_elites(rollout_batch(model, s, cands), cfg.elite_ratio)
+                elites = cands[np.sort(idx)]
+                ref = smooth_update(ref, refit_policy(elites), cfg.smoothing)
+            ref_action = np.clip(ref.mean[0], cfg.action_low, cfg.action_high)
+            assert action.tobytes() == ref_action.tobytes()
+            assert diag.final_policy.mean.tobytes() == ref.mean.tobytes()
+            assert diag.final_policy.std.tobytes() == ref.std.tobytes()
+            policy = shift_policy(diag.final_policy, cfg)
+            ref = shift_policy(ref, cfg)
+            s = model.dynamics_mean(s, action)[0]
 
     def test_shift_policy_warm_start(self):
         cfg = config(horizon=2)

@@ -175,6 +175,39 @@ class TestContinuousBernoulli:
         np.testing.assert_allclose(p.grad, num, rtol=1e-3, atol=1e-8)
 
 
+class TestForwardNpDtype:
+    """forward_np computes in float32 for a float32 input, float64 otherwise."""
+
+    @staticmethod
+    def net(activation="tanh"):
+        return Mlp(MlpSpec((4, 16, 12, 3), activation=activation), seed=6)
+
+    def test_float32_in_float32_out(self):
+        x = np.random.default_rng(1).normal(size=(32, 4)).astype(np.float32)
+        assert self.net().forward_np(x).dtype == np.float32
+
+    @pytest.mark.parametrize("x", [
+        np.linspace(-1.0, 1.0, 8).reshape(2, 4),
+        np.arange(8).reshape(2, 4),
+        [[0.1, -0.2, 0.3, 0.0], [1.0, 2.0, -1.0, 0.5]],
+    ], ids=["float64", "integer", "list"])
+    def test_other_inputs_give_float64(self, x):
+        net = self.net()
+        out = net.forward_np(x)
+        assert out.dtype == np.float64
+        assert out.tobytes() == net.forward_np(np.asarray(x, dtype=np.float64)).tobytes()
+
+    @pytest.mark.parametrize("activation", ["swish", "tanh"])
+    def test_float32_agrees_with_graph(self, activation):
+        net = self.net(activation)
+        x = (2.0 * np.random.default_rng(4).normal(size=(64, 4))).astype(np.float32)
+        x_before = x.copy()
+        out = net.forward_np(x)
+        assert x.tobytes() == x_before.tobytes()
+        graph = net.forward(x.astype(np.float64)).data
+        np.testing.assert_allclose(out, graph, rtol=0.0, atol=1e-5)
+
+
 class TestCheckpoint:
     def test_round_trip_bitwise(self, tmp_path):
         net = Mlp(MlpSpec((4, 7, 3)), seed=11)

@@ -574,3 +574,9 @@ class TestPersistence:
         x, _ = tiny_batch(model, 8, seed=17)
         v = recon_mse(model, x)
         assert np.isfinite(v) and v >= 0
+
+    def test_recon_mse_bitwise_equal_to_plain_expression(self):
+        model = tiny_model(seed=24)
+        x, _ = tiny_batch(model, 16, seed=18)
+        expected = float(np.mean((model.reconstruct(x) - x) ** 2))
+        assert recon_mse(model, x) == expected

@@ -69,10 +69,12 @@ class CountingModel(AnalyticModel):
 def sequential_rollout_batch(model, s0, action_seqs):
     """rollout_batch's blocks scored one after another on the calling
     thread, with no BLAS thread limit: the oracle rollout_batch must equal
-    bit for bit."""
-    action_seqs = np.asarray(action_seqs, dtype=np.float64)
+    bit for bit. The model runs in float32 for float32 action_seqs."""
+    action_seqs = np.asarray(action_seqs)
+    if action_seqs.dtype != np.float32:
+        action_seqs = action_seqs.astype(np.float64)
     k, horizon, _ = action_seqs.shape
-    s0 = np.asarray(s0, dtype=np.float64)
+    s0 = np.asarray(s0, dtype=action_seqs.dtype)
     scores = np.empty(k)
     for lo in range(0, k, ROLLOUT_BLOCK_ROWS):
         block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
@@ -293,11 +295,27 @@ class TestParallelRollout:
     def test_bitwise_equal_to_sequential_blocks(self, state_dim, k):
         model = build_world_model(state_dim, 2, seed=state_dim)
         s0, cands = planner_candidates(k, state_dim, seed=k)
-        scores = rollout_batch(model, s0, cands)
-        expected = sequential_rollout_batch(model, s0, cands)
-        assert scores.tobytes() == expected.tobytes()
-        if k:
-            assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+        for dtype in (np.float64, np.float32):
+            scores = rollout_batch(model, s0, cands.astype(dtype))
+            assert scores.dtype == np.float64
+            expected = sequential_rollout_batch(model, s0, cands.astype(dtype))
+            assert scores.tobytes() == expected.tobytes()
+            if k:
+                assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+
+    @pytest.mark.parametrize("state_dim", [20, 5])
+    def test_float32_scores_rank_like_float64(self, state_dim):
+        # The planner ranks in float32: same elites as float64 scores, each
+        # score within 1e-4 relative, and the exploding candidate -inf in both.
+        model = build_world_model(state_dim, 2, seed=state_dim)
+        s0, cands = planner_candidates(10_000, state_dim, seed=10_000)
+        s64 = rollout_batch(model, s0, cands)
+        s32 = rollout_batch(model, s0.astype(np.float32), cands.astype(np.float32))
+        np.testing.assert_array_equal(cem.select_elites(s32, 0.01),
+                                      cem.select_elites(s64, 0.01))
+        assert np.isneginf(s64[-1]) and np.isneginf(s32[-1])
+        finite = s64[:-1]
+        assert np.all(np.abs(s32[:-1] - finite) <= 1e-4 * np.maximum(1.0, np.abs(finite)))
 
     def test_plan_at_planner_size_repeats_bytes(self):
         model = build_world_model(20, 2, seed=11)
