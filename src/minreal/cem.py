@@ -113,12 +113,17 @@ def sample_candidates(policy: PolicyParams, k, low, high, rng):
 
 def select_elites(scores, elite_ratio):
     """Indices of the top floor(ratio * K) scores (at least one), descending,
-    ties broken by lower index."""
-    scores = np.asarray(scores)
-    k = scores.shape[0]
+    ties broken by lower index, NaN scores last: np.argsort(-scores,
+    kind="stable")[:n]. Only the candidates at least as good as the n-th
+    best are sorted, found by a partition."""
+    neg = -np.asarray(scores)
+    k = neg.shape[0]
     n = max(1, int(np.floor(elite_ratio * k)))
-    order = np.argsort(-scores, kind="stable")
-    return order[:n]
+    nth = np.partition(neg, n - 1)[n - 1]
+    # With fewer than n non-NaN scores, the n-th best is NaN and every
+    # candidate is kept.
+    keep = np.arange(k) if np.isnan(nth) else np.flatnonzero(neg <= nth)
+    return keep[np.argsort(neg[keep], kind="stable")[:n]]
 
 
 def refit_policy(elites) -> PolicyParams:

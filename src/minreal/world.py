@@ -16,6 +16,8 @@ rollout_batch() scores candidates in blocks of ROLLOUT_BLOCK_ROWS rows on
 ROLLOUT_WORKERS threads, the number of CPUs in the process's affinity set:
 the calling thread takes blocks 0, n, 2n, ... and each of n - 1 pool
 threads, created on first use, takes every n-th block from its own offset.
+The planner's K = 10 000 candidates are two blocks, one per core of a
+2-CPU host, and K = 1 000 is one block.
 Most of a block's time is single-threaded numpy (tanh, layer norm, bias
 adds) that releases the interpreter lock, so the threads overlap. While they
 run, numpy's bundled OpenBLAS is held at one thread through ctypes, so its
@@ -61,10 +63,18 @@ from .nets import (
 from .latent import apply_mask
 
 # Candidates are scored in blocks of this many rows, each block over the whole
-# horizon before the next starts: at planner widths a block's activations then
-# stay in a 2 MB L2 cache instead of streaming K-row temporaries through DRAM
-# on every layer op.
-ROLLOUT_BLOCK_ROWS = 1024
+# horizon before the next starts. A block costs 2L - 1 model calls of about ten
+# numpy ops each, and at planner widths an op on 1 024 rows lasts only
+# microseconds, so small blocks spend their time in per-call overhead and in
+# handing the interpreter lock between rollout threads. At 5 000 rows the
+# planner's K = 10 000 is one block per thread on 2 CPUs. There (numpy 2.4.6,
+# OpenBLAS 0.3.31) a float32 K = 10 000, L = 6 rollout at S = 5 took 12-21 ms
+# against 27-29 ms in 1 024-row blocks; at S = 20 it barely moved, and 2 500-row
+# blocks were faster. The size is fixed rather than K / ROLLOUT_WORKERS: the
+# block a candidate runs in, and so the last bits of its score, then depend on
+# K alone and not on the host, and K = 1 000 stays one block (two 500-row
+# blocks took twice as long at S = 5).
+ROLLOUT_BLOCK_ROWS = 5000
 
 # rollout_batch scores its blocks on this many threads, one per CPU this
 # process may run on.
@@ -273,7 +283,8 @@ def rollout_batch(model, s0, action_seqs):
     action_seqs is (K, L, A); returns total scores (K,), with -inf for
     candidates with a non-finite reward or a non-finite state that feeds a
     later reward. Candidates run in blocks of ROLLOUT_BLOCK_ROWS rows, each
-    over the whole horizon, so a block's activations stay in L2 cache. The
+    over the whole horizon, so the model is called 2L - 1 times per block
+    and large blocks keep per-call overhead small (see the constant). The
     state after the last action is never scored, so the dynamics run L - 1
     times per block. Scores equal the reward sums of K independent rollout()
     calls within rounding (BLAS may round a block's rows differently from a

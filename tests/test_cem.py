@@ -119,6 +119,28 @@ class TestSelectElites:
         assert np.all(scores[idx] >= threshold)
         assert (scores >= threshold).sum() == idx.size  # exactly the elites
 
+    @pytest.mark.parametrize("ratio", [0.01, 0.1, 0.5, 1.0])
+    def test_matches_stable_argsort_oracle(self, ratio):
+        # The full stable sort is the oracle, on scores with many ties,
+        # -inf and NaN (sorted last), signed zeros, all-NaN and all--inf
+        # inputs, and ratio 1.0 (n = k).
+        rng = np.random.default_rng(3)
+        cases = [np.full(7, np.nan), np.full(7, -np.inf), np.array([0.0, -0.0, 0.0]),
+                 np.array([np.nan, 1.0, np.nan, -np.inf, 1.0]),
+                 rng.normal(size=10_000).astype(np.float32).astype(np.float64)]
+        for _ in range(400):
+            scores = rng.integers(-3, 4, size=rng.integers(1, 80)).astype(np.float64)
+            kind = rng.random(scores.size)
+            scores[kind < 0.2] = -np.inf
+            scores[kind > 0.8] = np.nan
+            cases.append(scores)
+        for scores in cases:
+            n = max(1, int(np.floor(ratio * scores.size)))
+            want = np.argsort(-scores, kind="stable")[:n]
+            got = select_elites(scores, ratio)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
 
 class TestRefitPolicy:
     def test_single_elite(self):

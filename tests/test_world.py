@@ -10,12 +10,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from minreal import cem
+from minreal import cem, world
 from minreal.latent import build_mask
 from minreal.qvae import ObservationClass, build_qvae
 from minreal.tsallis import QParams
 from minreal.world import (
-    ROLLOUT_BLOCK_ROWS,
     ROLLOUT_WORKERS,
     WorldDataset,
     WorldTrainConfig,
@@ -66,18 +65,31 @@ class CountingModel(AnalyticModel):
         return super().dynamics_mean(s, a)
 
 
+# Block size the block-structure tests patch in, so that they stay small
+# and their ids do not depend on the module's ROLLOUT_BLOCK_ROWS.
+SMALL_BLOCK_ROWS = 64
+
+
+@pytest.fixture
+def small_blocks(monkeypatch):
+    monkeypatch.setattr(world, "ROLLOUT_BLOCK_ROWS", SMALL_BLOCK_ROWS)
+    return SMALL_BLOCK_ROWS
+
+
 def sequential_rollout_batch(model, s0, action_seqs):
     """rollout_batch's blocks scored one after another on the calling
     thread, with no BLAS thread limit: the oracle rollout_batch must equal
-    bit for bit. The model runs in float32 for float32 action_seqs."""
+    bit for bit. The model runs in float32 for float32 action_seqs, and the
+    block size is world.ROLLOUT_BLOCK_ROWS at call time."""
     action_seqs = np.asarray(action_seqs)
     if action_seqs.dtype != np.float32:
         action_seqs = action_seqs.astype(np.float64)
     k, horizon, _ = action_seqs.shape
     s0 = np.asarray(s0, dtype=action_seqs.dtype)
     scores = np.empty(k)
-    for lo in range(0, k, ROLLOUT_BLOCK_ROWS):
-        block = action_seqs[lo : lo + ROLLOUT_BLOCK_ROWS]
+    rows = world.ROLLOUT_BLOCK_ROWS
+    for lo in range(0, k, rows):
+        block = action_seqs[lo : lo + rows]
         s = np.tile(s0, (block.shape[0], 1))
         total = np.zeros(block.shape[0])
         alive = np.ones(block.shape[0], dtype=bool)
@@ -89,7 +101,7 @@ def sequential_rollout_batch(model, s0, action_seqs):
             if t + 1 < horizon:
                 s = model.dynamics_mean(s, a)
                 alive &= np.all(np.isfinite(s), axis=1)
-        scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
+        scores[lo : lo + rows] = total
     return scores
 
 
@@ -117,13 +129,14 @@ def blas_threads():
 
 
 class RecordingModel(AnalyticModel):
-    """Records the BLAS thread count and the thread of every reward call."""
+    """Records the BLAS thread count, the thread and the row count of every
+    reward call."""
 
     def __init__(self):
         self.seen = []
 
     def reward_mean(self, s, a):
-        self.seen.append((blas_threads(), threading.current_thread()))
+        self.seen.append((blas_threads(), threading.current_thread(), len(s)))
         return super().reward_mean(s, a)
 
 
@@ -233,10 +246,12 @@ class TestRollout:
         np.testing.assert_array_equal(states[:2, 0], [1.0, 2.0])
         assert np.all(np.isnan(states[2:]))
 
-    @pytest.mark.parametrize(
-        "k", [6, ROLLOUT_BLOCK_ROWS, 2 * ROLLOUT_BLOCK_ROWS + 452]
-    )
-    def test_batch_matches_single(self, k):
+    @pytest.mark.parametrize("k", [
+        6,
+        pytest.param(SMALL_BLOCK_ROWS, id="one_block"),
+        pytest.param(2 * SMALL_BLOCK_ROWS + 20, id="ragged_last_block"),
+    ])
+    def test_batch_matches_single(self, small_blocks, k):
         # below one block, exactly one block, ragged last block
         model = build_world_model(2, 2, seed=8)
         rng = np.random.default_rng(1)
@@ -249,9 +264,9 @@ class TestRollout:
             assert abs(batch_scores[i] - total) <= 1e-12 * max(1.0, abs(total))
 
     @pytest.mark.parametrize("horizon", [0, 1, 4])
-    def test_batch_skips_unscored_last_dynamics_step(self, horizon):
+    def test_batch_skips_unscored_last_dynamics_step(self, small_blocks, horizon):
         model = CountingModel()
-        k = 2 * ROLLOUT_BLOCK_ROWS + 5
+        k = 2 * small_blocks + 5
         rollout_batch(model, np.zeros(2), np.zeros((k, horizon, 2)))
         assert model.dyn_calls == max(horizon - 1, 0) * 3
 
@@ -264,10 +279,10 @@ class TestRollout:
         score = rollout_batch(Explodes(), np.zeros(1), actions[None])
         np.testing.assert_array_equal(score, [rewards.sum()])
 
-    def test_exploding_candidate_in_second_block(self):
+    def test_exploding_candidate_in_second_block(self, small_blocks):
         rng = np.random.default_rng(2)
-        cands = rng.uniform(-0.5, 0.5, size=(ROLLOUT_BLOCK_ROWS + 40, 3, 1))
-        bad = ROLLOUT_BLOCK_ROWS + 7
+        cands = rng.uniform(-0.5, 0.5, size=(small_blocks + 40, 3, 1))
+        bad = small_blocks + 7
         cands[bad] = 1.5  # s_2 = 3 explodes and feeds r_2
         scores = rollout_batch(Explodes(), np.zeros(1), cands)
         assert np.isneginf(scores[bad])
@@ -289,19 +304,57 @@ def planner_candidates(k, state_dim, seed):
     return rng.normal(scale=0.3, size=state_dim), cands
 
 
+def assert_bitwise_equal_to_sequential_blocks(state_dim, k):
+    model = build_world_model(state_dim, 2, seed=state_dim)
+    s0, cands = planner_candidates(k, state_dim, seed=k)
+    for dtype in (np.float64, np.float32):
+        scores = rollout_batch(model, s0, cands.astype(dtype))
+        assert scores.dtype == np.float64
+        expected = sequential_rollout_batch(model, s0, cands.astype(dtype))
+        assert scores.tobytes() == expected.tobytes()
+        if k:
+            assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+
+
 class TestParallelRollout:
-    @pytest.mark.parametrize("k", [0, 1, 1000, ROLLOUT_BLOCK_ROWS, ROLLOUT_BLOCK_ROWS + 1, 10_000])
+    # Planner sizes, at the module's block size.
+    @pytest.mark.parametrize("k", [0, 1, 1000, 10_000])
     @pytest.mark.parametrize("state_dim", [20, 5])
     def test_bitwise_equal_to_sequential_blocks(self, state_dim, k):
+        assert_bitwise_equal_to_sequential_blocks(state_dim, k)
+
+    @pytest.mark.parametrize("k", [
+        pytest.param(SMALL_BLOCK_ROWS, id="one_block"),
+        pytest.param(SMALL_BLOCK_ROWS + 1, id="one_block_plus_one"),
+    ])
+    @pytest.mark.parametrize("state_dim", [20, 5])
+    def test_block_edges_bitwise_equal_to_sequential(self, small_blocks, state_dim, k):
+        assert_bitwise_equal_to_sequential_blocks(state_dim, k)
+
+    def test_planner_size_scores_one_block_per_thread(self, monkeypatch):
+        # K = 10 000 is two 5 000-row blocks, one per thread, with the BLAS
+        # count held at one.
+        monkeypatch.setattr(world, "ROLLOUT_WORKERS", max(2, ROLLOUT_WORKERS))
+        model = RecordingModel()
+        rollout_batch(model, np.zeros(1), np.zeros((10_000, 6, 1)))
+        rows = {}
+        for _, thread, n in model.seen:
+            rows.setdefault(thread, []).append(n)
+        assert threading.main_thread() in rows
+        assert sorted(rows.values()) == [[5_000] * 6] * 2
+        if BLAS_THREADS is not None:
+            assert {count for count, _, _ in model.seen} == {1}
+
+    @pytest.mark.parametrize("state_dim", [20, 5])
+    def test_planner_size_scores_do_not_depend_on_cpu_count(self, monkeypatch, state_dim):
         model = build_world_model(state_dim, 2, seed=state_dim)
-        s0, cands = planner_candidates(k, state_dim, seed=k)
+        s0, cands = planner_candidates(10_000, state_dim, seed=state_dim)
         for dtype in (np.float64, np.float32):
-            scores = rollout_batch(model, s0, cands.astype(dtype))
-            assert scores.dtype == np.float64
-            expected = sequential_rollout_batch(model, s0, cands.astype(dtype))
-            assert scores.tobytes() == expected.tobytes()
-            if k:
-                assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+            default = rollout_batch(model, s0, cands.astype(dtype))
+            with monkeypatch.context() as m:
+                m.setattr(world, "ROLLOUT_WORKERS", 1)
+                one = rollout_batch(model, s0, cands.astype(dtype))
+            assert one.tobytes() == default.tobytes()
 
     @pytest.mark.parametrize("state_dim", [20, 5])
     def test_float32_scores_rank_like_float64(self, state_dim):
@@ -327,44 +380,44 @@ class TestParallelRollout:
         assert d1.final_policy.mean.tobytes() == d2.final_policy.mean.tobytes()
         assert d1.best_score == d2.best_score
 
-    def test_blocks_share_threads_and_blas_held_at_one(self):
+    def test_blocks_share_threads_and_blas_held_at_one(self, small_blocks):
         model = RecordingModel()
         before = blas_threads()
-        rollout_batch(model, np.zeros(1), np.zeros((3 * ROLLOUT_BLOCK_ROWS, 2, 1)))
+        rollout_batch(model, np.zeros(1), np.zeros((3 * small_blocks, 2, 1)))
         assert blas_threads() == before
-        threads = {thread for _, thread in model.seen}
+        threads = {thread for _, thread, _ in model.seen}
         assert threading.main_thread() in threads
         assert (len(threads) > 1) == (ROLLOUT_WORKERS > 1)
         if ROLLOUT_WORKERS > 1 and before is not None:
-            assert {count for count, _ in model.seen} == {1}
+            assert {count for count, _, _ in model.seen} == {1}
 
-    def test_single_block_uses_calling_thread_and_blas_count(self):
+    def test_single_block_uses_calling_thread_and_blas_count(self, small_blocks):
         model = RecordingModel()
         before = blas_threads()
-        rollout_batch(model, np.zeros(1), np.zeros((ROLLOUT_BLOCK_ROWS, 2, 1)))
-        assert set(model.seen) == {(before, threading.main_thread())}
+        rollout_batch(model, np.zeros(1), np.zeros((small_blocks, 2, 1)))
+        assert set(model.seen) == {(before, threading.main_thread(), small_blocks)}
 
-    def test_blas_count_restored_after_wrong_state_width(self):
+    def test_blas_count_restored_after_wrong_state_width(self, small_blocks):
         model = build_world_model(3, 2, seed=0)
         before = blas_threads()
         with pytest.raises(ValueError, match="expected state 3"):
-            rollout_batch(model, np.zeros(4), np.zeros((3 * ROLLOUT_BLOCK_ROWS, 2, 2)))
+            rollout_batch(model, np.zeros(4), np.zeros((3 * small_blocks, 2, 2)))
         assert blas_threads() == before
 
     @pytest.mark.skipif(ROLLOUT_WORKERS < 2, reason="one CPU: no pool thread")
-    def test_pool_thread_error_reaches_caller_unchanged(self):
+    def test_pool_thread_error_reaches_caller_unchanged(self, small_blocks):
         before = blas_threads()
         with pytest.raises(ValueError) as info:
             rollout_batch(FailsInPoolThread(), np.zeros(1),
-                          np.zeros((2 * ROLLOUT_BLOCK_ROWS, 2, 1)))
+                          np.zeros((2 * small_blocks, 2, 1)))
         assert info.value is FailsInPoolThread.error
         assert blas_threads() == before
 
-    def test_concurrent_callers_get_their_own_scores(self):
+    def test_concurrent_callers_get_their_own_scores(self, small_blocks):
         # More callers than CPUs, switching threads often: each must get the
         # scores it gets alone, and the BLAS count must end where it began.
         model = build_world_model(5, 2, seed=1)
-        jobs = [planner_candidates(2 * ROLLOUT_BLOCK_ROWS + 100, 5, seed=i)
+        jobs = [planner_candidates(2 * small_blocks + 100, 5, seed=i)
                 for i in range(2 * ROLLOUT_WORKERS + 1)]
         alone = [rollout_batch(model, s0, cands) for s0, cands in jobs]
         before = blas_threads()
