@@ -13,6 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# Added to the variance in layer normalization; nets' tape-free layer norm
+# reads it too, so both paths normalize alike.
+LAYER_NORM_EPS = 1e-5
+
 
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
@@ -190,13 +194,14 @@ def mean_all(a):
     )
 
 
-def layer_norm(a, eps=1e-5):
-    """Normalize over the last axis to zero mean, unit variance (no affine)."""
+def layer_norm(a):
+    """Normalize over the last axis to zero mean, unit variance (no affine),
+    LAYER_NORM_EPS added to the variance."""
     a = as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     xc = a.data - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     out = xc * inv
 
     def backward_fn(g):

@@ -102,10 +102,8 @@ class PlanDiagnostics:
 
 
 def sample_candidates(policy: PolicyParams, k, low, high, rng):
-    """k Gaussian draws around the policy, clipped to the action bounds
-    [low, high]; rng may be a seed or a Generator."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    """k Gaussian draws around the policy from the Generator rng, clipped to
+    the action bounds [low, high]."""
     steps, adim = policy.mean.shape
     draws = policy.mean + policy.std * rng.standard_normal((k, steps, adim))
     return np.clip(draws, low, high, out=draws)

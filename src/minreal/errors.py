@@ -1,4 +1,5 @@
-"""Shared exception types, mapped to CLI exit codes in minreal.cli."""
+"""Shared exception types. Each docstring names the exit code that a
+command-line front end is to map the type to; the package has none yet."""
 
 
 class ConfigError(ValueError):

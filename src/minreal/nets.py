@@ -1,11 +1,12 @@
 """Dense networks, the Adam optimizer, the training loop both stages run
-(fit), Gaussian and continuous-Bernoulli log-likelihoods, reparameterized
-sampling, and the artifact container that every saved model, dataset and
-mask uses.
+(fit), the diagonal-Gaussian head with its log-std clamp, Gaussian and
+continuous-Bernoulli log-likelihoods, reparameterized sampling, and the
+artifact container that every saved model, dataset and mask uses.
 
-Each log-likelihood has one implementation, built from autodiff ops. On
-plain arrays (forward_np output) those ops record no tape, so evaluation
-runs the same density code as the losses and reads .data.
+The Gaussian head split (gaussian_head_t) and each log-likelihood have one
+implementation, built from autodiff ops. On plain arrays (forward_np output)
+those ops record no tape, so inference and evaluation run the same head and
+density code as the losses and read .data.
 
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Networks come in two flavors per
@@ -38,13 +39,23 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, MissingArtifact, TrainingAbort
-from .tsallis import LOG_STD_MAX, LOG_STD_MIN, clamp_log_std_np  # noqa: F401 (re-export)
 
 _MAGIC = b"MRCKPT02"
 
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
 ACTIVATIONS = ("swish", "tanh")
+
+# Adam's moment decay rates and denominator offset.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+# Log-std clamp of every Gaussian head. Bracket chosen around the toy data
+# scales: exp(-6) ~ 2.5e-3 is far below pixel resolution, exp(2) ~ 7.4 far
+# above the unit box.
+LOG_STD_MIN = -6.0
+LOG_STD_MAX = 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,14 +185,15 @@ def _swish_np(x, out):
     return np.divide(x, t, out=out)
 
 
-def _layer_norm_np(x, eps=1e-5):
-    """Normalizes each column of a feature-major (features, batch) array.
-    The sums are sum and einsum calls: the same means as mean() without its
-    per-call overhead, and no (features, batch) temporary for the squares."""
+def _layer_norm_np(x):
+    """Normalizes each column of a feature-major (features, batch) array,
+    with the graph path's epsilon. The sums are sum and einsum calls: the
+    same means as mean() without its per-call overhead, and no
+    (features, batch) temporary for the squares."""
     n = x.shape[0]
     x -= x.sum(axis=0) / n
     var = np.einsum("ij,ij->j", x, x) / n
-    var += eps
+    var += ad.LAYER_NORM_EPS
     x /= np.sqrt(var, out=var)
     return x
 
@@ -189,14 +201,11 @@ def _layer_norm_np(x, eps=1e-5):
 class Adam:
     """First/second-moment adaptive update with bias correction."""
 
-    def __init__(self, params, learning_rate, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, learning_rate):
         if learning_rate <= 0:
             raise ConfigError(f"learning rate must be positive, got {learning_rate}")
         self.params = list(params)
         self.learning_rate = float(learning_rate)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -204,7 +213,7 @@ class Adam:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         for i, p in enumerate(self.params):
             g = p.grad
             if g is None:
@@ -213,7 +222,7 @@ class Adam:
             self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
             m_hat = self.m[i] / (1.0 - b1**t)
             v_hat = self.v[i] / (1.0 - b2**t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
+            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
     def zero_grad(self):
         ad.zero_grads(self.params)
@@ -263,6 +272,14 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
     if save:
         save()
     return records
+
+
+def gaussian_head_t(raw, width):
+    """(mean, log_std) tensors of a diagonal-Gaussian head from its net's raw
+    output (B, 2 * width): the first width columns are the mean, the next
+    width the log-std, clamped to [LOG_STD_MIN, LOG_STD_MAX]."""
+    log_std = ad.clip(ad.slice_cols(raw, width, 2 * width), LOG_STD_MIN, LOG_STD_MAX)
+    return ad.slice_cols(raw, 0, width), log_std
 
 
 def gaussian_log_prob_t(mean, log_std, x) -> ad.Tensor:
@@ -347,10 +364,6 @@ def cb_log_prob_t(lam, x) -> ad.Tensor:
         cb_log_norm_t(lam),
     )
     return ad.sum_axis(per, axis=1)
-
-
-def clamp_log_std_t(log_std) -> ad.Tensor:
-    return ad.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
 
 
 # --- the artifact container ------------------------------------------------

@@ -27,9 +27,8 @@ from .nets import (
     Mlp,
     MlpSpec,
     cb_log_prob_t,
-    clamp_log_std_np,
-    clamp_log_std_t,
     fit,
+    gaussian_head_t,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -143,10 +142,8 @@ class QvaeModel:
     def encode(self, x) -> DiagGaussian:
         """Posterior belief over the latent space; deterministic."""
         x, _ = self.split_observation(x)
-        out = self.encoder.forward_np(x)
-        return DiagGaussian(
-            mean=out[:, : self.latent_dim], log_std=out[:, self.latent_dim :]
-        )
+        mean, log_std = gaussian_head_t(self.encoder.forward_np(x), self.latent_dim)
+        return DiagGaussian(mean=mean.data, log_std=log_std.data)
 
     def decode(self, z):
         """Per-class decoder parameters at latent z: (mean, log_std) for
@@ -160,9 +157,8 @@ class QvaeModel:
         for cls, dec in zip(self.classes, self.decoders):
             raw = dec.forward_np(z)
             if cls.kind == "diag_gaussian":
-                mean = raw[:, : cls.width]
-                log_std = clamp_log_std_np(raw[:, cls.width :])
-                out.append((mean, log_std))
+                mean, log_std = gaussian_head_t(raw, cls.width)
+                out.append((mean.data, log_std.data))
             else:
                 # The sigmoid runs in place in raw, a fresh forward_np output,
                 # so the sigmoid allocates no image-sized temporaries.
@@ -183,22 +179,12 @@ class QvaeModel:
 
     # -- graph paths ------------------------------------------------------
 
-    def _encode_graph(self, x):
-        out = self.encoder.forward(x)
-        mean = ad.slice_cols(out, 0, self.latent_dim)
-        log_std = clamp_log_std_t(
-            ad.slice_cols(out, self.latent_dim, 2 * self.latent_dim)
-        )
-        return mean, log_std
-
     def _class_log_prob(self, index, raw, x_block):
         """Per-row log p(x_c|z) tensor of class `index` from its decoder's raw
         output at z: a graph output in the loss, forward_np's in bracket_term."""
         cls = self.classes[index]
         if cls.kind == "diag_gaussian":
-            mean = ad.slice_cols(raw, 0, cls.width)
-            log_std = clamp_log_std_t(ad.slice_cols(raw, cls.width, 2 * cls.width))
-            return gaussian_log_prob_t(mean, log_std, x_block)
+            return gaussian_log_prob_t(*gaussian_head_t(raw, cls.width), x_block)
         lam = ad.sigmoid(ad.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP))
         return cb_log_prob_t(lam, x_block)
 
@@ -269,7 +255,7 @@ def qvae_loss(model: QvaeModel, x, noise):
         raise ValueError("batch must be nonempty")
     noise = np.asarray(noise, dtype=np.float64)
 
-    mean_t, log_std_t = model._encode_graph(x)
+    mean_t, log_std_t = gaussian_head_t(model.encoder.forward(x), model.latent_dim)
     z_t = reparam_sample(mean_t, log_std_t, noise)
 
     log_pz = gaussian_log_prob_t(

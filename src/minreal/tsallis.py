@@ -1,8 +1,9 @@
-"""The q-deformed logarithm, the diagonal Gaussian with its log-std clamp,
-the hyperparameters of the deformed objective, and the condition on them
-that keeps the sparsifying reconstruction bracket non-negative. The Gaussian
-log-density lives in nets (gaussian_log_prob_t), for training and
-evaluation alike.
+"""The q-deformed logarithm, the diagonal-Gaussian belief that encoding
+returns, the hyperparameters of the deformed objective, and the condition on
+them that keeps the sparsifying reconstruction bracket non-negative. The
+Gaussian head with its log-std clamp (gaussian_head_t) and the Gaussian
+log-density (gaussian_log_prob_t) live in nets, for training and inference
+alike.
 
 Functions accept scalars or numpy arrays (float64 throughout). q_log at
 q = 1 is the exact natural log, never a numerical limit. The graph-side ln_q
@@ -17,12 +18,6 @@ import dataclasses
 import numpy as np
 
 from .errors import ConfigError
-
-# Posterior/decoder log-std clamp. Bracket chosen around the toy data scales:
-# exp(-6) ~ 2.5e-3 is far below pixel resolution, exp(2) ~ 7.4 far above the
-# unit box.
-LOG_STD_MIN = -6.0
-LOG_STD_MAX = 2.0
 
 # Clamp for exponents of the form (1-q)*log p before exp(); the loss counts
 # saturated entries so silent clipping is observable.
@@ -40,17 +35,12 @@ def _scalar_or_array(result, x):
     return float(result) if np.ndim(x) == 0 else result
 
 
-def clamp_log_std_np(log_std):
-    return np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)
-
-
 @dataclasses.dataclass(frozen=True)
 class DiagGaussian:
-    """Diagonal Gaussian given by mean and log standard deviation.
-
-    log_std is clamped to [LOG_STD_MIN, LOG_STD_MAX] at construction.
-    Arrays may be vectors or batches; mean and log_std must share a shape.
-    """
+    """Diagonal Gaussian given by mean and log standard deviation, both
+    finite. Arrays may be vectors or batches; mean and log_std must share a
+    shape. log_std is taken as given: QvaeModel.encode's head has already
+    clamped it (nets.gaussian_head_t)."""
 
     mean: np.ndarray
     log_std: np.ndarray
@@ -63,7 +53,7 @@ class DiagGaussian:
                 f"mean shape {mean.shape} != log_std shape {log_std.shape}"
             )
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "log_std", clamp_log_std_np(log_std))
+        object.__setattr__(self, "log_std", log_std)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -51,9 +51,9 @@ from .nets import (
     Mlp,
     MlpSpec,
     check_arrays,
-    clamp_log_std_t,
     fit,
     float_dtype,
+    gaussian_head_t,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -201,14 +201,11 @@ def encode_dataset(vae, mask, episodes) -> WorldDataset:
 
 def _log_probs(model: WorldModel, dyn_out, rew_out, ds: WorldDataset):
     """Per-row log p(s'|s,a) and log p(r|s,a) over ds, as tensors, from the
-    dynamics and reward nets' raw outputs (mean, then log-std, per head)."""
-    s = model.state_dim
-    dyn_lp = gaussian_log_prob_t(ad.slice_cols(dyn_out, 0, s),
-                                 clamp_log_std_t(ad.slice_cols(dyn_out, s, 2 * s)),
+    dynamics and reward nets' raw outputs (Gaussian heads, see
+    nets.gaussian_head_t)."""
+    dyn_lp = gaussian_log_prob_t(*gaussian_head_t(dyn_out, model.state_dim),
                                  ds.next_states)
-    rew_lp = gaussian_log_prob_t(ad.slice_cols(rew_out, 0, 1),
-                                 clamp_log_std_t(ad.slice_cols(rew_out, 1, 2)),
-                                 ds.rewards[:, None])
+    rew_lp = gaussian_log_prob_t(*gaussian_head_t(rew_out, 1), ds.rewards[:, None])
     return dyn_lp, rew_lp
 
 

@@ -47,20 +47,20 @@ def config(**kw):
 class TestSampleCandidates:
     def test_shape_and_determinism(self):
         policy = PolicyParams(mean=np.zeros((3, 2)), std=np.ones((3, 2)))
-        a = sample_candidates(policy, 50, *UNBOUNDED, rng=123)
-        b = sample_candidates(policy, 50, *UNBOUNDED, rng=123)
+        a = sample_candidates(policy, 50, *UNBOUNDED, np.random.default_rng(123))
+        b = sample_candidates(policy, 50, *UNBOUNDED, np.random.default_rng(123))
         assert a.shape == (50, 3, 2)
         np.testing.assert_array_equal(a, b)
 
     def test_floor_std_concentrates_on_mean(self):
         mean = np.array([[0.3, -0.7]])
         policy = PolicyParams(mean=mean, std=np.full((1, 2), 1e-12))
-        draws = sample_candidates(policy, 200, *UNBOUNDED, rng=0)
+        draws = sample_candidates(policy, 200, *UNBOUNDED, np.random.default_rng(0))
         assert np.max(np.abs(draws - mean)) < 1e-2  # std floored at 1e-3
 
     def test_clipping_to_bounds(self):
         policy = PolicyParams(mean=np.full((2, 1), 5.0), std=np.full((2, 1), 0.1))
-        draws = sample_candidates(policy, 100, -1.0, 1.0, rng=1)
+        draws = sample_candidates(policy, 100, -1.0, 1.0, np.random.default_rng(1))
         assert np.all(draws <= 1.0) and np.all(draws >= -1.0)
         assert np.all(draws == 1.0)  # mean far outside: everything lands on the edge
 
@@ -69,7 +69,7 @@ class TestSampleCandidates:
         std = np.array([[0.5, 1.0], [0.3, 0.2]])
         policy = PolicyParams(mean=mean, std=std)
         n = 100_000
-        draws = sample_candidates(policy, n, *UNBOUNDED, rng=7)
+        draws = sample_candidates(policy, n, *UNBOUNDED, np.random.default_rng(7))
         stderr = std / np.sqrt(n)
         assert np.all(np.abs(draws.mean(axis=0) - mean) <= 3.0 * stderr)
 

@@ -91,10 +91,6 @@ class TestIdentitySuite:
 
 
 class TestDiagGaussian:
-    def test_log_std_clamped(self):
-        p = DiagGaussian(np.zeros(2), np.array([-100.0, 100.0]))
-        np.testing.assert_allclose(p.log_std, [-6.0, 2.0])
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             DiagGaussian(np.array([np.nan]), np.zeros(1))

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from minreal import autodiff as ad
 from minreal import cem, world
 from minreal.latent import build_mask
 from minreal.qvae import ObservationClass, build_qvae
@@ -197,6 +198,28 @@ class TestWmLoss:
         _, (d0, _) = wm_loss(base, ds)
         _, (d1, _) = wm_loss(wide, ds)
         assert d1 - d0 == pytest.approx(np.log(2.0), abs=1e-12)
+
+    def test_log_std_heads_clamped(self):
+        # log-std biases beyond the clamp score as the bracket's ends, 2.0 and
+        # -6.0: at the mean the NLL is log sigma + log(2 pi) / 2, on the graph
+        # and the tape-free path alike, and neither bias gets a gradient.
+        model = constant_world_model(mean_bias=0.7, ls_bias=5.0, r_bias=-0.3,
+                                     r_ls_bias=-10.0)
+        ds = WorldDataset(
+            states=np.zeros((4, 1)),
+            actions=np.zeros((4, 1)),
+            next_states=np.full((4, 1), 0.7),
+            rewards=np.full(4, -0.3),
+        )
+        half_log_2pi = 0.5 * np.log(2.0 * np.pi)
+        loss, (dyn_nll, rew_nll) = wm_loss(model, ds)
+        _, dyn, rew = heldout_nll(model, ds)
+        for d, r in ((dyn_nll, rew_nll), (dyn, rew)):
+            assert d == pytest.approx(2.0 + half_log_2pi, abs=1e-12)
+            assert r == pytest.approx(-6.0 + half_log_2pi, abs=1e-12)
+        ad.backward(loss)
+        assert model.dynamics.params[-1].grad[1] == 0.0
+        assert model.reward.params[-1].grad[1] == 0.0
 
     def test_matches_tape_free_oracle(self):
         model = build_world_model(3, 2, seed=4)
