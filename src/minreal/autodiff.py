@@ -51,7 +51,8 @@ def _tracked(*inputs):
 
 
 def _make(data, inputs, backward_fn):
-    """backward_fn(g) must return one gradient array per entry of `inputs`."""
+    """backward_fn(g) must return one gradient array per entry of `inputs`,
+    or None for an untracked entry, whose gradient backward() drops."""
     if _tracked(*inputs):
         return Tensor(data, _parents=tuple(inputs), _backward=backward_fn)
     return Tensor(data)
@@ -109,8 +110,11 @@ def matmul(a, b):
         raise ValueError("matmul expects 2-D operands")
     if a.data.shape[1] != b.data.shape[0]:
         raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
+    # No gradient for an untracked operand, such as a data batch.
     return _make(
-        a.data @ b.data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g)
+        a.data @ b.data, (a, b),
+        lambda g: (g @ b.data.T if _tracked(a) else None,
+                   a.data.T @ g if _tracked(b) else None),
     )
 
 
@@ -261,6 +265,8 @@ def backward(loss: Tensor):
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):
+            if not _tracked(parent):  # a constant: its gradient goes nowhere
+                continue
             pg = _unbroadcast(pg, parent.data.shape)
             key = id(parent)
             if key in grads:

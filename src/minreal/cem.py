@@ -103,9 +103,15 @@ class PlanDiagnostics:
 
 def sample_candidates(policy: PolicyParams, k, low, high, rng):
     """k Gaussian draws around the policy from the Generator rng, clipped to
-    the action bounds [low, high]."""
-    steps, adim = policy.mean.shape
-    draws = policy.mean + policy.std * rng.standard_normal((k, steps, adim))
+    the action bounds [low, high].
+
+    The draws are scaled and shifted in place, and clipped against bounds
+    tiled to the policy's (steps, adim) shape: numpy's clip loop then runs
+    over steps * adim contiguous elements per candidate, not over adim."""
+    draws = rng.standard_normal((k, *policy.mean.shape))
+    draws *= policy.std
+    draws += policy.mean
+    low, high = (np.broadcast_to(b, policy.mean.shape).copy() for b in (low, high))
     return np.clip(draws, low, high, out=draws)
 
 

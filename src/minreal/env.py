@@ -11,6 +11,19 @@ goes from obs[:, t] to obs[:, t+1], so each observation is stored once.
 save_transitions writes these arrays, by name, to one nets.save_checkpoint
 file of kind "transitions".
 
+Each formula has one implementation, a *_batch kernel over a leading
+episode axis E: step, reward, render (written straight into the caller's
+array) and the scripted controller. The one-episode API (env_step,
+observe, render, reward_of, scripted_action, initial_state) calls the same
+kernels at E = 1. collect_dataset first draws every episode's RNG stream
+in full, in the order one episode at a time would consume it (the three
+spawn uniforms, then the (T, ACTION_DIM) action noise), and then advances
+all episodes together, so its arrays equal an episode-by-episode
+collection bit for bit. The one trap is the norm: np.linalg.norm of a
+2-vector is the square root of a BLAS dot, which rounds differently from
+sqrt(x*x + y*y), norm(axis=1) or np.hypot in a few percent of rows, so
+row_norm takes its per-row dot through a stacked matmul.
+
 Minimal realization of the system is 5 numbers: position (2), velocity (2),
 and the per-episode target height.
 """
@@ -63,9 +76,10 @@ class DotReacherState:
         object.__setattr__(self, "vel", np.asarray(self.vel, dtype=np.float64))
         object.__setattr__(self, "target_height", float(self.target_height))
 
-    @property
-    def target_point(self):
-        return np.array([TARGET_X, self.target_height])
+    def rows(self):
+        """(pos, vel, target height) with a leading episode axis of 1, the
+        arguments of the *_batch kernels."""
+        return self.pos[None], self.vel[None], np.array([self.target_height])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,50 +93,108 @@ class Observation:
         return np.concatenate([self.proprio, self.image.ravel()])
 
 
-def render(state: DotReacherState) -> np.ndarray:
-    """Rasterize: 0.5 bar row at the target height, intensity-1 dot at the
-    agent position, both bilinearly anti-aliased over one pixel; clipped
-    to [0, 1]."""
-    n = IMAGE_SIZE
-    img = np.zeros((n, n))
+# --- batched kernels: arrays with a leading episode axis E -------------------
 
-    # bar rows (axis 0 indexes the y coordinate)
-    bar_y = state.target_height * (n - 1)
-    bar_row = int(np.floor(bar_y))
-    bar_frac = bar_y - bar_row
-    img[bar_row, :] += 0.5 * (1.0 - bar_frac)
-    if bar_row + 1 < n:
-        img[bar_row + 1, :] += 0.5 * bar_frac
 
-    # dot splat
-    px, py = state.pos
-    cx, cy = px * (n - 1), py * (n - 1)
-    col, row = int(np.floor(cx)), int(np.floor(cy))
-    fx, fy = cx - col, cy - row
-    for dr, dc, w in (
-        (0, 0, (1 - fy) * (1 - fx)),
-        (0, 1, (1 - fy) * fx),
-        (1, 0, fy * (1 - fx)),
-        (1, 1, fy * fx),
-    ):
-        r, c = row + dr, col + dc
-        if r < n and c < n:
-            img[r, c] += w
+def row_norm(d):
+    """Euclidean norm of each row of an (E, 2) array, bitwise equal to
+    np.linalg.norm of that row: the square root of a BLAS dot per row (see
+    the module docstring)."""
+    return np.sqrt(np.matmul(d[:, None, :], d[:, :, None])[:, 0, 0])
 
-    return np.clip(img, 0.0, 1.0)
+
+def _target_points(height):
+    """(E, 2) target points (TARGET_X, height)."""
+    target = np.empty((len(height), 2))
+    target[:, 0] = TARGET_X
+    target[:, 1] = height
+    return target
+
+
+def _pixel_weights(coord):
+    """Anti-aliasing weights over one image axis for coordinates in pixel
+    units: 1 - frac on the pixel floor(coord), frac on the next pixel if
+    there is one, 0 elsewhere. Shape (*coord.shape, IMAGE_SIZE)."""
+    cell = np.floor(coord)[..., None]
+    frac = coord[..., None] - cell
+    pixel = np.arange(IMAGE_SIZE)
+    return np.where(pixel == cell, 1.0 - frac, np.where(pixel == cell + 1.0, frac, 0.0))
+
+
+def render_batch(out, pos, height):
+    """Rasterize into out (E, IMAGE_SIZE, IMAGE_SIZE): 0.5 bar row at the
+    target height, intensity-1 dot at the agent position, both bilinearly
+    anti-aliased over one pixel; clipped to [0, 1]."""
+    # Weights of the bar over rows (axis 1 indexes y) and of the dot over
+    # rows and columns; the dot's pixel weight is its row times column weight.
+    w = _pixel_weights(np.column_stack([height, pos[:, ::-1]]) * (IMAGE_SIZE - 1))
+    np.multiply(w[:, 1, :, None], w[:, 2, None, :], out=out)
+    out += 0.5 * w[:, 0, :, None]
+    np.clip(out, 0.0, 1.0, out=out)
+
+
+def observe_batch(out, pos, vel, height):
+    """Write each episode's observation vector (proprio, then the image
+    row-major) into the rows of out (E, OBS_DIM)."""
+    out[:, :2] = pos
+    out[:, 2:PROPRIO_DIM] = vel
+    render_batch(out[:, PROPRIO_DIM:].reshape(-1, IMAGE_SIZE, IMAGE_SIZE), pos, height)
+
+
+def reward_batch(pos, vel, height):
+    """(E,) rewards: minus the distance to the target point and
+    VEL_PENALTY times the speed."""
+    return -(row_norm(pos - _target_points(height)) + VEL_PENALTY * row_norm(vel))
+
+
+def step_batch(pos, vel, action):
+    """Double-integrator update of (E, 2) positions and velocities under
+    (E, 2) actions, each clipped to its box; returns (pos, vel)."""
+    action = np.clip(action, -1.0, 1.0)
+    vel = np.clip(vel + DT * action, -V_MAX, V_MAX)
+    return np.clip(pos + DT * vel, 0.0, 1.0), vel
+
+
+def scripted_action_batch(pos, vel, height, noise=None):
+    """Feedback controller toward the target, plus (E, 2) noise if given,
+    clipped to the action box."""
+    a = CONTROLLER_KP * (_target_points(height) - pos) - CONTROLLER_KD * vel
+    if noise is not None:
+        a = a + noise
+    return np.clip(a, -1.0, 1.0)
+
+
+def _spawn_draws(rng):
+    """One episode's three spawn uniforms in stream order: target height,
+    then the x and y offsets of the start position."""
+    return (rng.uniform(*TARGET_HEIGHT_RANGE), rng.uniform(-SPAWN_DX, SPAWN_DX),
+            rng.uniform(*SPAWN_DY))
+
+
+def spawn_batch(draws):
+    """(pos, target height) of the episodes whose _spawn_draws are the rows
+    of draws (E, 3): start above the target, inside the box."""
+    height, dx, dy = draws.T
+    return np.clip(np.stack([TARGET_X + dx, height + dy], axis=1), 0.0, 1.0), height
+
+
+# --- one episode: the kernels at E = 1 ----------------------------------------
 
 
 def observe(state: DotReacherState) -> Observation:
-    return Observation(
-        image=render(state),
-        proprio=np.concatenate([state.pos, state.vel]),
-    )
+    v = np.empty((1, OBS_DIM))
+    observe_batch(v, *state.rows())
+    return Observation(image=v[0, PROPRIO_DIM:].reshape(IMAGE_SIZE, IMAGE_SIZE),
+                       proprio=v[0, :PROPRIO_DIM])
+
+
+def render(state: DotReacherState) -> np.ndarray:
+    """The (IMAGE_SIZE, IMAGE_SIZE) image of state (see render_batch)."""
+    return observe(state).image
 
 
 def reward_of(state: DotReacherState) -> float:
-    e = float(np.linalg.norm(state.pos - state.target_point))
-    speed = float(np.linalg.norm(state.vel))
-    return -(e + VEL_PENALTY * speed)
+    return float(reward_batch(*state.rows())[0])
 
 
 def is_success(reward: float) -> bool:
@@ -134,27 +206,22 @@ def env_step(state: DotReacherState, action):
 
     Reward is evaluated at the post-step state; deterministic and pure.
     """
-    action = np.clip(np.asarray(action, dtype=np.float64), -1.0, 1.0)
-    vel = np.clip(state.vel + DT * action, -V_MAX, V_MAX)
-    pos = np.clip(state.pos + DT * vel, 0.0, 1.0)
-    nxt = DotReacherState(pos=pos, vel=vel, target_height=state.target_height)
+    pos, vel = step_batch(state.pos[None], state.vel[None],
+                          np.asarray(action, dtype=np.float64)[None])
+    nxt = DotReacherState(pos=pos[0], vel=vel[0], target_height=state.target_height)
     return nxt, reward_of(nxt), observe(nxt)
 
 
 def initial_state(rng) -> DotReacherState:
     """Spawn above the target with zero velocity."""
-    z = rng.uniform(*TARGET_HEIGHT_RANGE)
-    px = np.clip(TARGET_X + rng.uniform(-SPAWN_DX, SPAWN_DX), 0.0, 1.0)
-    py = np.clip(z + rng.uniform(*SPAWN_DY), 0.0, 1.0)
-    return DotReacherState(pos=np.array([px, py]), vel=np.zeros(2), target_height=z)
+    pos, height = spawn_batch(np.array([_spawn_draws(rng)]))
+    return DotReacherState(pos=pos[0], vel=np.zeros(2), target_height=height[0])
 
 
 def scripted_action(state: DotReacherState, rng=None, noise_std=0.0):
     """Feedback controller toward the target plus optional Gaussian noise."""
-    a = CONTROLLER_KP * (state.target_point - state.pos) - CONTROLLER_KD * state.vel
-    if noise_std > 0.0:
-        a = a + rng.normal(0.0, noise_std, size=2)
-    return np.clip(a, -1.0, 1.0)
+    noise = rng.normal(0.0, noise_std, size=(1, ACTION_DIM)) if noise_std > 0.0 else None
+    return scripted_action_batch(*state.rows(), noise)[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -213,20 +280,26 @@ class DatasetSplits:
 def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
     """Full-length scripted episodes (collection never terminates early, so
     near-target hovering is well covered), one RNG stream per episode, with
-    a fixed 90/5/5 split by episode."""
+    a fixed 90/5/5 split by episode. All episodes advance together."""
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
+    draws = np.empty((n_episodes, 3))
+    noise = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))
+    for e, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
+        rng = np.random.default_rng(child)
+        draws[e] = _spawn_draws(rng)
+        noise[e] = rng.normal(0.0, DEFAULT_NOISE_STD, size=(EPISODE_LEN, ACTION_DIM))
+    pos, height = spawn_batch(draws)
+    vel = np.zeros_like(pos)
     obs = np.empty((n_episodes, EPISODE_LEN + 1, OBS_DIM))
     action = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))
     reward = np.empty((n_episodes, EPISODE_LEN))
-    for e, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
-        rng = np.random.default_rng(child)
-        state = initial_state(rng)
-        obs[e, 0] = observe(state).vector()
-        for t in range(EPISODE_LEN):
-            action[e, t] = scripted_action(state, rng, DEFAULT_NOISE_STD)
-            state, reward[e, t], next_obs = env_step(state, action[e, t])
-            obs[e, t + 1] = next_obs.vector()
+    observe_batch(obs[:, 0], pos, vel, height)
+    for t in range(EPISODE_LEN):
+        action[:, t] = scripted_action_batch(pos, vel, height, noise[:, t])
+        pos, vel = step_batch(pos, vel, action[:, t])
+        reward[:, t] = reward_batch(pos, vel, height)
+        observe_batch(obs[:, t + 1], pos, vel, height)
     n_val = max(1, n_episodes // 20) if n_episodes >= 3 else 0
     n_train = n_episodes - 2 * n_val
     part = lambda lo, hi: Episodes(obs[lo:hi], action[lo:hi], reward[lo:hi])

@@ -186,6 +186,25 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, [8.0])
 
+    def test_constant_matmul_operands_get_no_gradient(self):
+        rng = np.random.default_rng(3)
+        x, c = ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=(5, 2)))
+        w0 = rng.normal(size=(3, 5))
+
+        def loss_of(arr):
+            return ad.mean_all(ad.tanh(ad.matmul(ad.matmul(x, ad.parameter(arr)), c)))
+
+        w = ad.parameter(w0.copy())
+        h = ad.matmul(x, w)
+        out = ad.matmul(h, c)
+        g = np.ones_like(out.data)
+        assert h._backward(np.ones_like(h.data))[0] is None  # d/dx skipped
+        assert out._backward(g)[1] is None  # d/dc skipped
+        ad.backward(ad.mean_all(ad.tanh(out)))
+        assert x.grad is None and c.grad is None
+        num = fd_grad(lambda arr: float(loss_of(arr).data), w0.copy())
+        np.testing.assert_allclose(w.grad, num, rtol=1e-6, atol=1e-9)
+
 
 class TestMlp:
     def test_zero_weight_network_outputs_bias(self):

@@ -52,6 +52,21 @@ class TestSampleCandidates:
         assert a.shape == (50, 3, 2)
         np.testing.assert_array_equal(a, b)
 
+    def test_equals_unfused_formula(self):
+        # Oracle: mean + std * z, clipped against the (adim,) bounds. Random
+        # policies whose draws cross both bounds, with other bounds per dim.
+        low, high = np.array([-1.0, -0.3, 0.0]), np.array([0.5, 2.0, 0.1])
+        for seed in range(5):
+            prng = np.random.default_rng(seed)
+            policy = PolicyParams(mean=prng.uniform(-1.5, 1.5, (4, 3)),
+                                  std=prng.uniform(0.1, 2.0, (4, 3)))
+            got = sample_candidates(policy, 500, low, high, np.random.default_rng(seed))
+            z = np.random.default_rng(seed).standard_normal((500, 4, 3))
+            want = np.clip(policy.mean + policy.std * z, low, high)
+            assert (got == low).any() and (got == high).any()
+            assert got.tobytes() == want.tobytes()
+            assert got.astype(np.float32).tobytes() == want.astype(np.float32).tobytes()
+
     def test_floor_std_concentrates_on_mean(self):
         mean = np.array([[0.3, -0.7]])
         policy = PolicyParams(mean=mean, std=np.full((1, 2), 1e-12))

@@ -1,5 +1,7 @@
 """Dot-reacher environment: dynamics, reward, rendering, data collection."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -53,6 +55,81 @@ def straight_line_splits(n_episodes, seed):
     n_val = max(1, n_episodes // 20) if n_episodes >= 3 else 0
     bounds = [0, n_episodes - 2 * n_val, n_episodes - n_val, n_episodes]
     return [[t for ep in episodes[lo:hi] for t in ep] for lo, hi in zip(bounds, bounds[1:])]
+
+
+def oracle_vector(pos, vel, target_height):
+    """Oracle: one observation vector, straight-line, with a per-pixel loop
+    for the dot splat (the one-episode renderer the batched one replaced)."""
+    n = env.IMAGE_SIZE
+    img = np.zeros((n, n))
+    bar_y = target_height * (n - 1)
+    bar_row = int(np.floor(bar_y))
+    bar_frac = bar_y - bar_row
+    img[bar_row, :] += 0.5 * (1.0 - bar_frac)
+    if bar_row + 1 < n:
+        img[bar_row + 1, :] += 0.5 * bar_frac
+    cx, cy = pos[0] * (n - 1), pos[1] * (n - 1)
+    col, row = int(np.floor(cx)), int(np.floor(cy))
+    fx, fy = cx - col, cy - row
+    for dr, dc, w in ((0, 0, (1 - fy) * (1 - fx)), (0, 1, (1 - fy) * fx),
+                      (1, 0, fy * (1 - fx)), (1, 1, fy * fx)):
+        if row + dr < n and col + dc < n:
+            img[row + dr, col + dc] += w
+    return np.concatenate([pos, vel, np.clip(img, 0.0, 1.0).ravel()])
+
+
+def oracle_step(pos, vel, target_height, action):
+    """Oracle: one double-integrator step and its reward, each norm taken by
+    np.linalg.norm of one 2-vector."""
+    action = np.clip(action, -1.0, 1.0)
+    vel = np.clip(vel + env.DT * action, -env.V_MAX, env.V_MAX)
+    pos = np.clip(pos + env.DT * vel, 0.0, 1.0)
+    e = float(np.linalg.norm(pos - np.array([env.TARGET_X, target_height])))
+    return pos, vel, -(e + env.VEL_PENALTY * float(np.linalg.norm(vel)))
+
+
+def oracle_collect(n_episodes, seed):
+    """Oracle: the per-episode collector, one episode and one step at a
+    time, each step drawing its own 2-vector of action noise. Returns the
+    (obs, action, reward) arrays of all episodes in order."""
+    obs, actions, rewards = [], [], []
+    for child in np.random.SeedSequence(seed).spawn(n_episodes):
+        rng = np.random.default_rng(child)
+        z = rng.uniform(*env.TARGET_HEIGHT_RANGE)
+        px = np.clip(env.TARGET_X + rng.uniform(-env.SPAWN_DX, env.SPAWN_DX), 0.0, 1.0)
+        py = np.clip(z + rng.uniform(*env.SPAWN_DY), 0.0, 1.0)
+        pos, vel = np.array([px, py]), np.zeros(2)
+        obs.append([oracle_vector(pos, vel, z)])
+        actions.append([])
+        rewards.append([])
+        for _ in range(env.EPISODE_LEN):
+            a = (env.CONTROLLER_KP * (np.array([env.TARGET_X, z]) - pos)
+                 - env.CONTROLLER_KD * vel)
+            a = np.clip(a + rng.normal(0.0, env.DEFAULT_NOISE_STD, size=2), -1.0, 1.0)
+            pos, vel, r = oracle_step(pos, vel, z, a)
+            obs[-1].append(oracle_vector(pos, vel, z))
+            actions[-1].append(a)
+            rewards[-1].append(r)
+    return np.array(obs), np.array(actions), np.array(rewards)
+
+
+def edge_batch(e=32, seed=0):
+    """(pos, vel, target height, action) rows with walls and clamps: the
+    position at 0 and 1 on each axis (the dot on the last image row or
+    column), |velocity| at V_MAX, actions outside the box, steps that end
+    on a wall, and bars on the first and last rows."""
+    rng = np.random.default_rng(seed)
+    pos = rng.uniform(0.0, 1.0, (e, 2))
+    vel = rng.uniform(-env.V_MAX, env.V_MAX, (e, 2))
+    height = rng.uniform(*env.TARGET_HEIGHT_RANGE, e)
+    action = rng.uniform(-2.0, 2.0, (e, 2))
+    pos[:6] = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.3], [0.3, 1.0], [0.0, 1.0], [1.0, 0.0]]
+    vel[6:10] = [[env.V_MAX, -env.V_MAX], [-env.V_MAX, env.V_MAX], [env.V_MAX, 0.0],
+                 [0.0, -env.V_MAX]]
+    pos[6:10] = [[0.99, 0.01], [0.01, 0.99], [1.0, 0.5], [0.5, 0.0]]
+    action[6:10] = [[5.0, -5.0], [-5.0, 5.0], [1.0, 0.0], [0.0, -1.0]]
+    height[10:12] = [0.0, 1.0]
+    return pos, vel, height, action
 
 
 def assert_records_equal(got, want):
@@ -187,6 +264,80 @@ class TestCollect:
             env.collect_dataset(0)
 
 
+class TestBatchedKernels:
+    @pytest.mark.parametrize("seed", [0, 12])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100])
+    def test_collect_equals_per_episode_oracle(self, n, seed):
+        ds = env.collect_dataset(n, seed=seed)
+        got = ds.train + ds.val + ds.test
+        for name, want in zip(("obs", "action", "reward"), oracle_collect(n, seed)):
+            x = getattr(got, name)
+            assert x.shape == want.shape and x.tobytes() == want.tobytes(), name
+
+    def test_edge_batch_hits_every_clamp(self):
+        pos, vel, height, action = edge_batch()
+        nxt, nvel = env.step_batch(pos, vel, action)
+        for p in (pos, nxt):
+            assert (p == 0.0).any(axis=0).all() and (p == 1.0).any(axis=0).all()
+        assert (np.abs(nvel) == env.V_MAX).any(axis=0).all()
+        assert (np.abs(action) > 1.0).any()
+
+    def test_scalar_api_equals_batched_rows_and_oracle(self):
+        pos, vel, height, action = edge_batch()
+        images = np.empty((len(pos), env.IMAGE_SIZE, env.IMAGE_SIZE))
+        env.render_batch(images, pos, height)
+        vectors = np.empty((len(pos), env.OBS_DIM))
+        env.observe_batch(vectors, pos, vel, height)
+        rewards = env.reward_batch(pos, vel, height)
+        controls = env.scripted_action_batch(pos, vel, height)
+        nxt_pos, nxt_vel = env.step_batch(pos, vel, action)
+        nxt_vectors = np.empty_like(vectors)
+        env.observe_batch(nxt_vectors, nxt_pos, nxt_vel, height)
+        nxt_rewards = env.reward_batch(nxt_pos, nxt_vel, height)
+        for e in range(len(pos)):
+            s = make_state(pos[e], vel[e], height[e])
+            assert env.render(s).tobytes() == images[e].tobytes()
+            assert env.observe(s).vector().tobytes() == vectors[e].tobytes()
+            assert vectors[e].tobytes() == oracle_vector(pos[e], vel[e], height[e]).tobytes()
+            assert env.reward_of(s) == rewards[e]
+            assert env.scripted_action(s).tobytes() == controls[e].tobytes()
+            nxt, r, o = env.env_step(s, action[e])
+            want_pos, want_vel, want_r = oracle_step(pos[e], vel[e], height[e], action[e])
+            for got, batched, want in ((nxt.pos, nxt_pos[e], want_pos),
+                                       (nxt.vel, nxt_vel[e], want_vel),
+                                       (o.vector(), nxt_vectors[e],
+                                        oracle_vector(want_pos, want_vel, height[e]))):
+                assert got.tobytes() == batched.tobytes() == want.tobytes()
+            assert r == nxt_rewards[e] == want_r
+
+    def test_noisy_scripted_action_equals_batched_row(self):
+        pos, vel, height, _ = edge_batch()
+        noise = np.random.default_rng(4).normal(0.0, 0.1, (len(pos), env.ACTION_DIM))
+        batched = env.scripted_action_batch(pos, vel, height, noise)
+        for e in range(len(pos)):
+            rng = np.random.default_rng(4)
+            rng.normal(0.0, 0.1, (e, env.ACTION_DIM))  # skip the rows before e
+            got = env.scripted_action(make_state(pos[e], vel[e], height[e]), rng, 0.1)
+            assert got.tobytes() == batched[e].tobytes()
+
+    def test_row_norm_equals_linalg_norm_per_row(self):
+        # np.linalg.norm of a 2-vector is sqrt of a BLAS dot; sqrt(x*x + y*y)
+        # and norm(axis=1) round differently in a few percent of rows.
+        rng = np.random.default_rng(9)
+        d = rng.normal(size=(100_000, 2)) * 10.0 ** rng.uniform(-3.0, 3.0, (100_000, 1))
+        want = np.array([np.linalg.norm(row) for row in d])
+        assert env.row_norm(d).tobytes() == want.tobytes()
+
+    def test_spawn_batch_equals_initial_state(self):
+        draws = [env._spawn_draws(np.random.default_rng(s)) for s in range(5)]
+        pos, height = env.spawn_batch(np.array(draws))
+        for s in range(5):
+            state = env.initial_state(np.random.default_rng(s))
+            assert state.pos.tobytes() == pos[s].tobytes()
+            assert state.target_height == height[s]
+            assert not state.vel.any()
+
+
 def make_episodes(e=2, t=3, seed=0):
     rng = np.random.default_rng(seed)
     return env.Episodes(rng.uniform(size=(e, t + 1, env.OBS_DIM)),
@@ -257,6 +408,13 @@ class TestTransitionFile:
         env.save_transitions(p1, ds.train)
         env.save_transitions(p2, ds.train)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_file_bytes_pinned(self, tmp_path):
+        # The bytes the one-episode-at-a-time collector wrote for this seed.
+        path = tmp_path / "t.bin"
+        env.save_transitions(path, env.collect_dataset(10, seed=3).train)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "429ee49f220c8173ceeb57e2a0f6b09bdbbf5af79fe759bead2bcba7cc8b04d9")
 
     def test_rejects_garbage(self, tmp_path):
         p = tmp_path / "x.bin"
