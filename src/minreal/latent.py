@@ -46,9 +46,12 @@ def hoyer_sparsity(encodings) -> float:
 
     0 for uniform-magnitude vectors, 1 for one-hot vectors. An all-zero
     sample has an undefined ratio; it contributes 0 sparsity and triggers a
-    warning since it signals a fully collapsed encoder.
+    warning since it signals a fully collapsed encoder. A non-finite value
+    is a ValueError.
     """
     z = np.atleast_2d(np.asarray(encodings, dtype=np.float64))
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite encodings")
     n, d = z.shape
     if n == 0:
         raise ValueError("need at least one encoding")
@@ -69,8 +72,11 @@ def hoyer_sparsity(encodings) -> float:
 
 
 def dim_importance(encodings) -> np.ndarray:
-    """Unbiased sample standard deviation of each latent dimension."""
+    """Unbiased sample standard deviation of each latent dimension. A
+    non-finite value is a ValueError."""
     z = np.atleast_2d(np.asarray(encodings, dtype=np.float64))
+    if not np.isfinite(z).all():
+        raise ValueError("non-finite encodings")
     if z.shape[0] < 2:
         raise ValueError("need at least 2 samples for a sample std")
     return z.std(axis=0, ddof=1)

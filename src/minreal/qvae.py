@@ -192,6 +192,8 @@ class QvaeModel:
 def recon_mse(model: QvaeModel, x) -> float:
     """Mean squared reconstruction error per observation feature."""
     x, _ = model.split_observation(x)
+    if x.shape[0] == 0:
+        raise ValueError("x must have at least one row")
     # In place in reconstruct's fresh output: no second array of its size.
     err = model.reconstruct(x)
     err -= x

@@ -13,21 +13,19 @@ float64 otherwise (the planner passes float32), and keep rewards and scores
 in float64.
 
 rollout_batch() scores candidates in blocks of ROLLOUT_BLOCK_ROWS rows on
-ROLLOUT_WORKERS threads, the number of CPUs in the process's affinity set:
-the calling thread takes blocks 0, n, 2n, ... and each of n - 1 pool
-threads, created on first use, takes every n-th block from its own offset.
-The planner's K = 10 000 candidates are two blocks, one per core of a
-2-CPU host, and K = 1 000 is one block.
+n = min(ROLLOUT_WORKERS, blocks) threads, ROLLOUT_WORKERS being the number of
+CPUs in the process's affinity set: the calling thread takes blocks 0, n,
+2n, ... and each of n - 1 pool threads every n-th block from its own offset.
+The planner's K = 10 000 candidates are two blocks, one per core of a 2-CPU
+host, and K = 1 000 is one block, which the calling thread scores alone.
 Most of a block's time is single-threaded numpy (tanh, layer norm, bias
-adds) that releases the interpreter lock, so the threads overlap. While they
-run, numpy's bundled OpenBLAS is held at one thread through ctypes, so its
-own threads do not compete with them; its earlier count is restored in a
-finally, under a module lock that lets one caller at a time hold it. With
-no OpenBLAS found the limit is skipped. A single block runs on the calling
-thread with neither the pool nor the limit. Scores stay bitwise equal to
-scoring the blocks one after another, in either dtype: each block runs the
-same code on the same rows, depends on nothing outside itself and writes its
-own slice.
+adds) that releases the interpreter lock, so the threads overlap. Each call
+holds numpy's bundled OpenBLAS at one thread through ctypes, under a module
+lock, so that its own threads do not compete with them; the pool starts its
+threads on first use, and a forked child gets a fresh pool and lock. Scores
+stay bitwise equal to scoring the blocks one after another, in either dtype:
+each block runs the same code on the same rows, depends on nothing outside
+itself and writes its own slice.
 """
 
 from __future__ import annotations
@@ -228,6 +226,8 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
 def heldout_nll(model: WorldModel, ds: WorldDataset):
     """Held-out NLL: wm_loss's heads (_log_probs) run tape-free on the
     forward_np outputs. Returns (total, dynamics, reward) means."""
+    if len(ds) == 0:
+        raise ValueError("ds must be nonempty")
     x = np.hstack([ds.states, ds.actions])
     dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward_np(x),
                                 model.reward.forward_np(x), ds)
@@ -291,14 +291,11 @@ def rollout_batch(model, s0, action_seqs):
     float64 otherwise, with s0 cast to that dtype; scores are float64
     either way, and each candidate's rewards are added to its float64 total.
 
-    With more than one block, the blocks are spread over ROLLOUT_WORKERS
-    threads: the calling thread scores blocks 0, n, 2n, ... and pool thread
-    i, for 1 <= i < n, scores blocks i, i + n, and so on. numpy's OpenBLAS
-    is held at one thread meanwhile and its earlier count restored on
-    return or raise.
-    An exception raised in a pool thread reaches the caller unchanged. The
-    scores are bitwise equal to scoring the blocks one after another on one
-    thread, in either dtype (see the module docstring).
+    The blocks are spread over threads as the module docstring says, with
+    OpenBLAS held at one thread and its earlier count restored on return or
+    raise. An exception raised in a pool thread reaches the caller
+    unchanged. The scores are bitwise equal to scoring the blocks one after
+    another on one thread, in either dtype.
     """
     dtype = float_dtype(action_seqs)
     action_seqs = np.asarray(action_seqs, dtype=dtype)
@@ -323,12 +320,10 @@ def rollout_batch(model, s0, action_seqs):
             scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
 
     starts = range(0, k, ROLLOUT_BLOCK_ROWS)
-    n = min(ROLLOUT_WORKERS, len(starts))
-    if n <= 1:
-        score(starts)
-        return scores
-    with _parallel_lock, _one_blas_thread():
-        futures = [_rollout_pool().submit(score, starts[i::n]) for i in range(1, n)]
+    # max(1, ...) keeps K = 0 an empty result: starts[::0] would raise.
+    n = max(1, min(ROLLOUT_WORKERS, len(starts)))
+    with _one_blas_thread():
+        futures = [_threads.pool.submit(score, starts[i::n]) for i in range(1, n)]
         try:
             score(starts[::n])
         finally:
@@ -338,19 +333,23 @@ def rollout_batch(model, s0, action_seqs):
     return scores
 
 
-# Held by the one rollout_batch call at a time that runs blocks in parallel,
-# so two callers cannot interleave their BLAS thread-count saves and restores
-# and leave the count at 1. It also guards the lazy pool creation.
-_parallel_lock = threading.Lock()
-_pool = None
+class _RolloutThreads:
+    """rollout_batch's pool, which starts its threads on first submit, and
+    the lock that lets one caller at a time hold OpenBLAS's process-wide
+    thread count. A forked child inherits the pool's record of its threads
+    but not the threads, so its first multi-block rollout would wait
+    forever, and it may inherit the lock held: it builds both afresh."""
+
+    def __init__(self):
+        # ThreadPoolExecutor needs a worker even where n is always 1.
+        self.pool = concurrent.futures.ThreadPoolExecutor(
+            max(1, ROLLOUT_WORKERS - 1), thread_name_prefix="minreal-rollout")
+        self.lock = threading.Lock()
 
 
-def _rollout_pool():
-    global _pool
-    if _pool is None:
-        _pool = concurrent.futures.ThreadPoolExecutor(
-            ROLLOUT_WORKERS - 1, thread_name_prefix="minreal-rollout")
-    return _pool
+_threads = _RolloutThreads()
+if hasattr(os, "register_at_fork"):  # absent where there is no fork
+    os.register_at_fork(after_in_child=_threads.__init__)
 
 
 @functools.cache
@@ -372,20 +371,20 @@ def _openblas_thread_functions():
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Hold numpy's OpenBLAS at one thread, restoring its count on exit; a
-    no-op without one. The count is process-wide, so callers hold
-    _parallel_lock."""
-    blas = _openblas_thread_functions()
-    if blas is None:
-        yield
-        return
-    get, set_ = blas
-    before = get()
-    set_(1)
-    try:
-        yield
-    finally:
-        set_(before)
+    """Hold numpy's OpenBLAS at one thread under _threads.lock and restore
+    its count on exit; without OpenBLAS, only take the lock. Its threads
+    would compete with rollout_batch's: on 2 CPUs (numpy 2.4.6, OpenBLAS
+    0.3.31) a float32 K = 10 000 rollout took 101 against 55 ms without the
+    hold at S = 20 (slower in 12 of 12 interleaved rounds) and 21 against
+    17 ms at S = 5."""
+    get, set_ = _openblas_thread_functions() or (lambda: None, lambda count: None)
+    with _threads.lock:
+        before = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(before)
 
 
 # --- training ----------------------------------------------------------------

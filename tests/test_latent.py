@@ -57,6 +57,15 @@ class TestHoyerSparsity:
         with pytest.raises(ValueError):
             hoyer_sparsity(np.zeros((3, 1)))
 
+    @pytest.mark.parametrize("z", [
+        pytest.param([[np.nan, np.nan, np.nan], [np.nan, np.nan, np.nan]], id="all_nan"),
+        pytest.param([[np.nan, 0.0, 0.0], [1.0, 0.0, 0.0]], id="one_nan_row"),
+        pytest.param([[np.inf, 0.0, 0.0], [1.0, 0.0, 0.0]], id="inf"),
+    ])
+    def test_non_finite_encodings_rejected(self, z):
+        with pytest.raises(ValueError, match="non-finite"):
+            hoyer_sparsity(np.array(z))
+
 
 class TestDimImportance:
     def test_constant_dimension_zero(self):
@@ -77,6 +86,15 @@ class TestDimImportance:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             dim_importance(np.zeros((1, 4)))
+
+    @pytest.mark.parametrize("z", [
+        pytest.param([[np.nan, np.nan], [np.nan, np.nan]], id="all_nan"),
+        pytest.param([[np.nan, 0.0], [1.0, 2.0], [0.5, 1.0]], id="one_nan_dim"),
+        pytest.param([[-np.inf, 0.0], [1.0, 2.0]], id="inf"),
+    ])
+    def test_non_finite_encodings_rejected(self, z):
+        with pytest.raises(ValueError, match="non-finite"):
+            dim_importance(np.array(z))
 
 
 class TestBuildMask:

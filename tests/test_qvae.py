@@ -575,6 +575,12 @@ class TestPersistence:
         v = recon_mse(model, x)
         assert np.isfinite(v) and v >= 0
 
+    def test_recon_mse_rejects_zero_rows(self):
+        model = tiny_model(seed=23)
+        x, _ = tiny_batch(model, 8, seed=17)
+        with pytest.raises(ValueError, match="x"):
+            recon_mse(model, x[:0])
+
     def test_recon_mse_bitwise_equal_to_plain_expression(self):
         model = tiny_model(seed=24)
         x, _ = tiny_batch(model, 16, seed=18)

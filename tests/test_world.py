@@ -3,7 +3,10 @@
 import ctypes
 import glob
 import json
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 from pathlib import Path
 
@@ -129,6 +132,13 @@ def blas_threads():
     return None if BLAS_THREADS is None else BLAS_THREADS()
 
 
+def numpy_blas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except TypeError:  # numpy < 1.26 has no mode="dicts"
+        return None
+
+
 class RecordingModel(AnalyticModel):
     """Records the BLAS thread count, the thread and the row count of every
     reward call."""
@@ -234,6 +244,11 @@ class TestWmLoss:
         model = build_world_model(2, 2, seed=0)
         with pytest.raises(ValueError):
             wm_loss(model, make_dataset(n=0))
+
+    def test_heldout_nll_rejects_empty_dataset(self):
+        model = build_world_model(2, 2, seed=0)
+        with pytest.raises(ValueError, match="ds"):
+            heldout_nll(model, make_dataset(n=0))
 
 
 class TestRollout:
@@ -411,14 +426,23 @@ class TestParallelRollout:
         threads = {thread for _, thread, _ in model.seen}
         assert threading.main_thread() in threads
         assert (len(threads) > 1) == (ROLLOUT_WORKERS > 1)
-        if ROLLOUT_WORKERS > 1 and before is not None:
+        if before is not None:
             assert {count for count, _, _ in model.seen} == {1}
 
-    def test_single_block_uses_calling_thread_and_blas_count(self, small_blocks):
+    def test_single_block_runs_on_calling_thread_at_one_blas_thread(self, small_blocks):
         model = RecordingModel()
         before = blas_threads()
         rollout_batch(model, np.zeros(1), np.zeros((small_blocks, 2, 1)))
-        assert set(model.seen) == {(before, threading.main_thread(), small_blocks)}
+        assert blas_threads() == before
+        held = None if before is None else 1
+        assert set(model.seen) == {(held, threading.main_thread(), small_blocks)}
+
+    @pytest.mark.skipif(numpy_blas_name() != "scipy-openblas",
+                        reason="numpy does not bundle scipy-openblas")
+    def test_bundled_openblas_is_found(self):
+        # Without it every BLAS count assertion compares None with None.
+        assert world._openblas_thread_functions() is not None
+        assert BLAS_THREADS is not None
 
     def test_blas_count_restored_after_wrong_state_width(self, small_blocks):
         model = build_world_model(3, 2, seed=0)
@@ -463,6 +487,55 @@ class TestParallelRollout:
         for got, want in zip(results, alone):
             assert got is not None and got.tobytes() == want.tobytes()
         assert blas_threads() == before
+
+
+def run_python(script, timeout=60):
+    """Runs script in a fresh interpreter that imports this minreal."""
+    src = str(Path(world.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+class TestRolloutThreadsAcrossProcesses:
+    def test_import_starts_no_pool_thread(self):
+        result = run_python("""
+            import threading
+            import minreal.world
+            names = [t.name for t in threading.enumerate()]
+            assert not any(n.startswith("minreal-rollout") for n in names), names
+        """)
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_rollout_finishes(self):
+        # The parent has run a two-block rollout on the pool, so the child
+        # inherits a pool whose threads it does not have. The child kills
+        # itself by SIGALRM if its rollout hangs, so no process outlives the
+        # test.
+        result = run_python("""
+            import os, signal, sys, warnings
+            import numpy as np
+            from minreal import world
+
+            world.ROLLOUT_WORKERS = 2
+            world.ROLLOUT_BLOCK_ROWS = 64
+            model = world.build_world_model(2, 2, seed=0)
+            s0, cands = np.zeros(2), np.zeros((128, 3, 2))
+            expected = world.rollout_batch(model, s0, cands)
+            # Python 3.12+ warns on forking a process with threads.
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                signal.alarm(20)
+                got = world.rollout_batch(model, s0, cands)
+                os._exit(0 if got.tobytes() == expected.tobytes() else 1)
+            _, status = os.waitpid(pid, 0)
+            sys.exit(os.waitstatus_to_exitcode(status))
+        """)
+        assert result.returncode == 0, (result.returncode, result.stderr)
 
 
 class TestEncodeDataset:
