@@ -2,6 +2,7 @@
 
 A Tensor wraps an ndarray plus an optional gradient slot; every op below
 records a closure that maps the upstream gradient to per-input gradients.
+make() builds every node, nets.Mlp.forward's one node per network too.
 backward() walks the recorded graph once from a scalar loss; calling it
 again on the same loss without rebuilding the graph is an error.
 
@@ -12,10 +13,6 @@ independent, and inference over plain ndarrays never touches the tape.
 from __future__ import annotations
 
 import numpy as np
-
-# Added to the variance in layer normalization; nets' tape-free layer norm
-# reads it too, so both paths normalize alike.
-LAYER_NORM_EPS = 1e-5
 
 
 class Tensor:
@@ -46,14 +43,16 @@ def as_tensor(value):
     return value if isinstance(value, Tensor) else constant(value)
 
 
-def _tracked(*inputs):
+def tracked(*inputs):
+    """Whether any input is a parameter or depends on one."""
     return any(t.requires_grad or t._parents for t in inputs)
 
 
-def _make(data, inputs, backward_fn):
-    """backward_fn(g) must return one gradient array per entry of `inputs`,
+def make(data, inputs, backward_fn):
+    """A node of value `data`, recorded when any input is tracked.
+    backward_fn(g) must return one gradient array per entry of `inputs`,
     or None for an untracked entry, whose gradient backward() drops."""
-    if _tracked(*inputs):
+    if tracked(*inputs):
         return Tensor(data, _parents=tuple(inputs), _backward=backward_fn)
     return Tensor(data)
 
@@ -74,87 +73,59 @@ def _unbroadcast(grad, shape):
 
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data + b.data, (a, b), lambda g: (g, g))
+    return make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
 def sub(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data - b.data, (a, b), lambda g: (g, -g))
+    return make(a.data - b.data, (a, b), lambda g: (g, -g))
 
 
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
-    return _make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
+    return make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
 
 
 def neg(a):
     a = as_tensor(a)
-    return _make(-a.data, (a,), lambda g: (-g,))
+    return make(-a.data, (a,), lambda g: (-g,))
 
 
 def scale(a, c):
     """Multiply by a python float (no tensor allocated for the constant)."""
     a = as_tensor(a)
     c = float(c)
-    return _make(a.data * c, (a,), lambda g: (g * c,))
+    return make(a.data * c, (a,), lambda g: (g * c,))
 
 
 def add_const(a, c):
     a = as_tensor(a)
-    return _make(a.data + float(c), (a,), lambda g: (g,))
-
-
-def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError("matmul expects 2-D operands")
-    if a.data.shape[1] != b.data.shape[0]:
-        raise ValueError(f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}")
-    # No gradient for an untracked operand, such as a data batch.
-    return _make(
-        a.data @ b.data, (a, b),
-        lambda g: (g @ b.data.T if _tracked(a) else None,
-                   a.data.T @ g if _tracked(b) else None),
-    )
+    return make(a.data + float(c), (a,), lambda g: (g,))
 
 
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
-    return _make(out, (a,), lambda g: (g * out,))
+    return make(out, (a,), lambda g: (g * out,))
 
 
 def expm1(a):
     a = as_tensor(a)
     out = np.expm1(a.data)
-    return _make(out, (a,), lambda g: (g * (out + 1.0),))
+    return make(out, (a,), lambda g: (g * (out + 1.0),))
 
 
 def log(a):
     a = as_tensor(a)
     if np.any(a.data <= 0.0):
         raise ValueError("log requires strictly positive input")
-    return _make(np.log(a.data), (a,), lambda g: (g / a.data,))
+    return make(np.log(a.data), (a,), lambda g: (g / a.data,))
 
 
 def sigmoid(a):
     a = as_tensor(a)
     out = 1.0 / (1.0 + np.exp(-a.data))
-    return _make(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _make(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def swish(a):
-    """x * sigmoid(x)."""
-    a = as_tensor(a)
-    s = 1.0 / (1.0 + np.exp(-a.data))
-    out = a.data * s
-    return _make(out, (a,), lambda g: (g * (s + out * (1.0 - s)),))
+    return make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def clip(a, lo, hi):
@@ -165,7 +136,7 @@ def clip(a, lo, hi):
         mask &= a.data >= lo
     if hi is not None:
         mask &= a.data <= hi
-    return _make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
+    return make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 
 def slice_cols(a, start, stop):
@@ -176,12 +147,12 @@ def slice_cols(a, start, stop):
         full[:, start:stop] = g
         return (full,)
 
-    return _make(a.data[:, start:stop], (a,), backward_fn)
+    return make(a.data[:, start:stop], (a,), backward_fn)
 
 
 def sum_axis(a, axis):
     a = as_tensor(a)
-    return _make(
+    return make(
         a.data.sum(axis=axis),
         (a,),
         lambda g: (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),),
@@ -191,36 +162,18 @@ def sum_axis(a, axis):
 def mean_all(a):
     a = as_tensor(a)
     n = a.data.size
-    return _make(
+    return make(
         np.asarray(a.data.mean()),
         (a,),
         lambda g: (np.full(a.data.shape, float(g) / n),),
     )
 
 
-def layer_norm(a):
-    """Normalize over the last axis to zero mean, unit variance (no affine),
-    LAYER_NORM_EPS added to the variance."""
-    a = as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    out = xc * inv
-
-    def backward_fn(g):
-        g_mean = g.mean(axis=-1, keepdims=True)
-        gy_mean = (g * out).mean(axis=-1, keepdims=True)
-        return (inv * (g - g_mean - out * gy_mean),)
-
-    return _make(out, (a,), backward_fn)
-
-
 def custom_unary(a, value, derivative):
     """Lift a numpy function with known elementwise derivative into the graph."""
     a = as_tensor(a)
     out = value(a.data)
-    return _make(out, (a,), lambda g: (g * derivative(a.data),))
+    return make(out, (a,), lambda g: (g * derivative(a.data),))
 
 
 def backward(loss: Tensor):
@@ -265,7 +218,7 @@ def backward(loss: Tensor):
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):
-            if not _tracked(parent):  # a constant: its gradient goes nowhere
+            if not tracked(parent):  # a constant: its gradient goes nowhere
                 continue
             pg = _unbroadcast(pg, parent.data.shape)
             key = id(parent)

@@ -27,6 +27,8 @@ class LatentMask:
         importance = np.asarray(self.importance, dtype=np.float64)
         if keep.shape != importance.shape:
             raise ValueError("keep and importance must have equal length")
+        if not np.isfinite(importance).all():
+            raise ValueError(f"non-finite importance {importance}")
         if not keep.any():
             raise ValueError("a mask must keep at least one dimension")
         object.__setattr__(self, "keep", keep)
@@ -84,9 +86,10 @@ def dim_importance(encodings) -> np.ndarray:
 
 def build_mask(importance, threshold) -> LatentMask:
     """Keep dimensions whose importance exceeds the threshold; if none
-    survive, keep the single most important dimension and flag it."""
+    survive, keep the single most important dimension and flag it. A
+    negative or NaN threshold or a non-finite importance is a ValueError."""
     importance = np.asarray(importance, dtype=np.float64)
-    if threshold < 0:
+    if not threshold >= 0:
         raise ValueError(f"threshold must be >= 0, got {threshold}")
     keep = importance > threshold
     fallback = False

@@ -90,6 +90,8 @@ class QParams:
                 f"class_qs has length {len(self.class_qs)} but class_weights "
                 f"has length {len(self.class_weights)}"
             )
+        if not np.isfinite((self.beta, self.gamma, *self.class_weights)).all():
+            raise ConfigError(f"beta, gamma and class_weights must be finite: {self}")
         if any(w <= 0 for w in self.class_weights):
             raise ConfigError(f"class_weights must be positive, got {self.class_weights}")
         if self.beta <= 0 or self.gamma <= 0:

@@ -1,6 +1,7 @@
-"""Engine tests: finite-difference gradient checks for every op, backward
-guard rails, and a straight-line MLP forward oracle."""
+"""Engine tests: finite-difference gradient checks for every op and for the
+Mlp node, backward guard rails, and a straight-line MLP forward oracle."""
 
+import itertools
 import warnings
 
 import numpy as np
@@ -65,18 +66,6 @@ class TestOpGradients:
     def test_mul_self(self):
         check_op(lambda p, rng: ad.mul(p, p), lambda rng: rng.normal(size=(3, 2)))
 
-    def test_matmul_left(self):
-        check_op(
-            lambda p, rng: ad.matmul(p, rng.normal(size=(3, 5))),
-            lambda rng: rng.normal(size=(4, 3)),
-        )
-
-    def test_matmul_right(self):
-        check_op(
-            lambda p, rng: ad.matmul(ad.constant(rng.normal(size=(4, 3))), p),
-            lambda rng: rng.normal(size=(3, 5)),
-        )
-
     def test_exp(self):
         check_op(lambda p, rng: ad.exp(p), lambda rng: rng.normal(size=(3, 3)))
 
@@ -88,12 +77,6 @@ class TestOpGradients:
 
     def test_sigmoid(self):
         check_op(lambda p, rng: ad.sigmoid(p), lambda rng: rng.normal(size=(3, 4)))
-
-    def test_tanh(self):
-        check_op(lambda p, rng: ad.tanh(p), lambda rng: rng.normal(size=(3, 4)))
-
-    def test_swish(self):
-        check_op(lambda p, rng: ad.swish(p), lambda rng: rng.normal(size=(3, 4)))
 
     def test_clip_interior(self):
         # keep samples away from the clip boundary so FD stays valid
@@ -113,9 +96,6 @@ class TestOpGradients:
 
     def test_sum_axis(self):
         check_op(lambda p, rng: ad.sum_axis(p, axis=1), lambda rng: rng.normal(size=(4, 5)))
-
-    def test_layer_norm(self):
-        check_op(lambda p, rng: ad.layer_norm(p), lambda rng: rng.normal(size=(4, 6)))
 
     def test_scale_and_add_const(self):
         check_op(
@@ -187,23 +167,35 @@ class TestBackward:
         np.testing.assert_allclose(p.grad, [8.0])
 
     def test_constant_matmul_operands_get_no_gradient(self):
-        rng = np.random.default_rng(3)
-        x, c = ad.constant(rng.normal(size=(4, 3))), ad.constant(rng.normal(size=(5, 2)))
-        w0 = rng.normal(size=(3, 5))
+        # Mlp.forward's first dense product skips the gradient of an
+        # untracked input, such as a data batch.
+        net = Mlp(MlpSpec((3, 5, 2), activation="tanh"), seed=3)
+        x = ad.constant(np.random.default_rng(3).normal(size=(4, 3)))
+        out = net.forward(x)
+        assert out._backward(np.ones_like(out.data))[0] is None
+        ad.backward(ad.mean_all(ad.mul(out, out)))
+        assert x.grad is None
+        for p in net.params:
+            np.testing.assert_allclose(p.grad, param_fd_grad(net, x.data, p),
+                                       rtol=1e-6, atol=1e-9)
 
-        def loss_of(arr):
-            return ad.mean_all(ad.tanh(ad.matmul(ad.matmul(x, ad.parameter(arr)), c)))
 
-        w = ad.parameter(w0.copy())
-        h = ad.matmul(x, w)
-        out = ad.matmul(h, c)
-        g = np.ones_like(out.data)
-        assert h._backward(np.ones_like(h.data))[0] is None  # d/dx skipped
-        assert out._backward(g)[1] is None  # d/dc skipped
-        ad.backward(ad.mean_all(ad.tanh(out)))
-        assert x.grad is None and c.grad is None
-        num = fd_grad(lambda arr: float(loss_of(arr).data), w0.copy())
-        np.testing.assert_allclose(w.grad, num, rtol=1e-6, atol=1e-9)
+def mlp_loss(net, x):
+    """mean(net(x)^2) as a float."""
+    out = net.forward(x).data
+    return float((out * out).mean())
+
+
+def param_fd_grad(net, x, p):
+    """Finite-difference gradient of mlp_loss(net, x) in parameter p."""
+    def loss_at(arr):
+        old, p.data = p.data, arr
+        try:
+            return mlp_loss(net, x)
+        finally:
+            p.data = old
+
+    return fd_grad(loss_at, p.data.copy())
 
 
 class TestMlp:
@@ -250,10 +242,10 @@ class TestMlp:
                 var = np.einsum("ij,ij->j", xc, xc) / h.shape[0]
                 h = xc / np.sqrt(var + 1e-5)
         h = h.T
-        graph_out = net.forward(x)
-        np.testing.assert_allclose(graph_out.data, h, atol=1e-10)
-        # Same ops in the same order as the oracle, so the same bits.
+        # Same ops in the same order as the oracle, so the same bits, on
+        # both passes.
         assert net.forward_np(x).tobytes() == h.tobytes()
+        assert net.forward(x).data.tobytes() == h.tobytes()
 
     @pytest.mark.parametrize("activation", ["swish", "tanh"])
     def test_tape_free_matches_graph(self, activation):
@@ -263,7 +255,27 @@ class TestMlp:
         x_before = x.copy()
         out = net.forward_np(x)
         assert x.tobytes() == x_before.tobytes()
-        np.testing.assert_allclose(out, net.forward(x).data, rtol=0.0, atol=1e-12)
+        graph = net.forward(ad.parameter(x))
+        assert x.tobytes() == x_before.tobytes()
+        assert graph.data.tobytes() == out.tobytes()
+
+    def test_graph_output_is_c_contiguous(self):
+        # The heads slice columns, the CB normalizer indexes by boolean
+        # mask and the log-densities sum along axis 1. On forward_np's
+        # transposed (F-ordered) view, q-VAE epochs ran about 14% slower
+        # (medians of 6 alternating runs on 2 cores, 165 against 145 ms).
+        net = Mlp(MlpSpec((3, 6, 4)), seed=1)
+        out = net.forward(np.ones((5, 3)))
+        assert out.data.flags.c_contiguous
+
+    def test_one_call_records_one_node(self):
+        net = Mlp(MlpSpec((3, 6, 5, 4)), seed=1)
+        x = ad.parameter(np.ones((2, 3)))
+        out = net.forward(x)
+        assert len(out._parents) == 1 + 2 * net.n_layers
+        assert out._parents[0] is x
+        assert all(a is b for a, b in zip(out._parents[1:], net.params))
+        assert all(p._parents == () for p in out._parents)
 
     def test_forward_bitwise_deterministic(self):
         spec = MlpSpec((4, 8, 2))
@@ -274,28 +286,15 @@ class TestMlp:
         assert a.tobytes() == b.tobytes()
 
     def test_mlp_gradient_check(self):
-        spec = MlpSpec((3, 5, 2), activation="swish")
-        for seed in (0, 1, 2):
-            net = Mlp(spec, seed=seed)
-            x = np.random.default_rng(seed + 10).normal(size=(4, 3))
-
-            def loss_value():
-                out = net.forward(x)
-                return ad.mean_all(ad.mul(out, out))
-
-            loss = loss_value()
-            ad.backward(loss)
-            for p in net.params:
-                analytic = p.grad.copy()
-
-                def f(arr, p=p):
-                    old = p.data.copy()
-                    p.data = arr
-                    v = float(loss_value().data)
-                    p.data = old
-                    return v
-
-                numeric = fd_grad(f, p.data.copy())
+        for activation, seed in itertools.product(("swish", "tanh"), (0, 1, 2)):
+            net = Mlp(MlpSpec((3, 5, 4, 2), activation=activation), seed=seed)
+            x0 = np.random.default_rng(seed + 10).normal(size=(4, 3))
+            x = ad.parameter(x0)
+            out = net.forward(x)
+            ad.backward(ad.mean_all(ad.mul(out, out)))
+            checks = [(x.grad, fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))]
+            checks += [(p.grad, param_fd_grad(net, x0, p)) for p in net.params]
+            for analytic, numeric in checks:
                 denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
                 assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
 
@@ -354,6 +353,12 @@ class TestAdam:
         opt.step()
         expected = np.array([3.0, -1.0]) - lr * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("learning_rate", [0.0, -1e-3, np.nan, np.inf])
+    def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
+        # NaN once passed, because nan <= 0 is False.
+        with pytest.raises(ConfigError, match="learning rate"):
+            Adam([ad.parameter(np.zeros(2))], learning_rate=learning_rate)
 
     def test_deterministic_given_state(self):
         def run():

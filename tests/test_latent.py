@@ -125,6 +125,18 @@ class TestBuildMask:
         with pytest.raises(ValueError):
             build_mask(np.array([0.1, 0.2]), -0.5)
 
+    def test_nan_threshold_rejected(self):
+        # It once fell back to keeping the single most important dim.
+        with pytest.raises(ValueError, match="threshold"):
+            build_mask(np.array([0.1, 0.2]), np.nan)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_importance_rejected(self, bad):
+        # A NaN dim was once dropped silently, into a mask that save_mask
+        # wrote and load_mask then rejected.
+        with pytest.raises(ValueError, match="importance"):
+            build_mask(np.array([bad, 0.3]), 0.15)
+
 
 class TestApplyMask:
     def test_all_keep_identity(self):
@@ -182,6 +194,9 @@ class TestMaskFile:
         with pytest.raises(ValueError):
             LatentMask(keep=np.ones(3, dtype=bool), threshold_used=0.1,
                        importance=np.zeros(4))
+        with pytest.raises(ValueError, match="importance"):
+            LatentMask(keep=np.ones(2, dtype=bool), threshold_used=0.1,
+                       importance=np.array([np.nan, 0.3]))
 
 
 class TestMaskFileRejectsMalformed:

@@ -140,3 +140,18 @@ class TestSparsityCondition:
         with pytest.raises(ConfigError):  # nonpositive weight
             QParams(q=0.9, class_qs=(0.95,), class_weights=(0.0,), beta=1.0, gamma=1.0)
 
+    @pytest.mark.parametrize("field", ["beta", "gamma", "class_weight"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_objective_weight_rejected(self, field, value):
+        # Each once passed, and check_sparsity_condition called its chain
+        # satisfied: NaN compares False, and (50, inf, 50) hid behind an
+        # infinite slack.
+        kwargs = {"q": 0.95, "class_qs": (0.95, 0.999), "class_weights": (50.0, 1.0),
+                  "beta": 50.0, "gamma": 3.0}
+        if field == "class_weight":
+            kwargs["class_weights"] = (value, 1.0)
+        else:
+            kwargs[field] = value
+        with pytest.raises(ConfigError, match="finite"):
+            QParams(**kwargs)
+
