@@ -2,7 +2,10 @@
 
 A Tensor wraps an ndarray plus an optional gradient slot; every op below
 records a closure that maps the upstream gradient to per-input gradients.
-make() builds every node, nets.Mlp.forward's one node per network too.
+make() builds every node. nets builds its fused nodes with it too: one per
+network (Mlp.forward) and one per likelihood head (gaussian_log_prob_t,
+cb_log_prob_t), each with a hand-written backward, so the ops here are only
+the few that the heads and losses still chain.
 backward() walks the recorded graph once from a scalar loss; calling it
 again on the same loss without rebuilding the graph is an error.
 
@@ -76,11 +79,6 @@ def add(a, b):
     return make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def sub(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return make(a.data - b.data, (a, b), lambda g: (g, -g))
-
-
 def mul(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
@@ -98,11 +96,6 @@ def scale(a, c):
     return make(a.data * c, (a,), lambda g: (g * c,))
 
 
-def add_const(a, c):
-    a = as_tensor(a)
-    return make(a.data + float(c), (a,), lambda g: (g,))
-
-
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
@@ -113,19 +106,6 @@ def expm1(a):
     a = as_tensor(a)
     out = np.expm1(a.data)
     return make(out, (a,), lambda g: (g * (out + 1.0),))
-
-
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data <= 0.0):
-        raise ValueError("log requires strictly positive input")
-    return make(np.log(a.data), (a,), lambda g: (g / a.data,))
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-    return make(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def clip(a, lo, hi):
@@ -150,15 +130,6 @@ def slice_cols(a, start, stop):
     return make(a.data[:, start:stop], (a,), backward_fn)
 
 
-def sum_axis(a, axis):
-    a = as_tensor(a)
-    return make(
-        a.data.sum(axis=axis),
-        (a,),
-        lambda g: (np.broadcast_to(np.expand_dims(g, axis), a.data.shape),),
-    )
-
-
 def mean_all(a):
     a = as_tensor(a)
     n = a.data.size
@@ -167,13 +138,6 @@ def mean_all(a):
         (a,),
         lambda g: (np.full(a.data.shape, float(g) / n),),
     )
-
-
-def custom_unary(a, value, derivative):
-    """Lift a numpy function with known elementwise derivative into the graph."""
-    a = as_tensor(a)
-    out = value(a.data)
-    return make(out, (a,), lambda g: (g * derivative(a.data),))
 
 
 def backward(loss: Tensor):

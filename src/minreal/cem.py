@@ -40,6 +40,8 @@ class PolicyParams:
         std = np.asarray(self.std, dtype=np.float64)
         if mean.shape != std.shape:
             raise ValueError("mean and std must have the same shape")
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("mean and std must be finite")
         if np.any(std <= 0.0):
             raise ValueError("std must be positive")
         object.__setattr__(self, "mean", mean)
@@ -58,8 +60,13 @@ class CemConfig:
     time_budget: float | None = None  # seconds; None = unlimited
 
     def __post_init__(self):
+        for name in ("horizon", "candidates", "max_iters"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         lo = np.asarray(self.action_low, dtype=np.float64)
         hi = np.asarray(self.action_high, dtype=np.float64)
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ConfigError(f"action bounds must be finite, got {lo} and {hi}")
         if lo.shape != hi.shape or np.any(lo >= hi):
             raise ConfigError("action bounds must satisfy low < high per dim")
         object.__setattr__(self, "action_low", lo)
@@ -70,6 +77,10 @@ class CemConfig:
             raise ConfigError(f"smoothing must be in (0, 1), got {self.smoothing}")
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
+        if self.max_iters < 0:
+            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
+        if self.time_budget is not None and np.isnan(self.time_budget):
+            raise ConfigError("time_budget must not be NaN")
         if int(np.floor(self.elite_ratio * self.candidates)) < 1:
             raise ConfigError(
                 f"floor(elite_ratio * candidates) must be >= 1, got "
@@ -158,8 +169,11 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
 
     Returns (first action, PlanDiagnostics). With a fixed seed and no time
     budget the result is deterministic. If no iteration completes, the
-    initial policy mean is returned with a warning flag.
+    initial policy mean is returned with a warning flag. A non-finite s0 is
+    a ValueError.
     """
+    if not np.isfinite(s0).all():
+        raise ValueError(f"s0 must be finite, got {s0}")
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     policy = initial_policy if initial_policy is not None else config.initial_policy()

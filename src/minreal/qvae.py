@@ -23,6 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .errors import ConfigError, TrainingAbort
 from .nets import (
+    CB_LOGIT_CLAMP,
     Adam,
     Mlp,
     MlpSpec,
@@ -39,10 +40,6 @@ from .nets import (
 from .tsallis import MAX_EXPONENT, DiagGaussian, QParams, check_sparsity_condition
 
 CLASS_KINDS = ("diag_gaussian", "continuous_bernoulli")
-
-# Pre-squash logits for continuous-Bernoulli heads are clamped here, keeping
-# lambda in (3e-7, 1 - 3e-7) so its logs stay finite.
-CB_LOGIT_CLAMP = 15.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -185,8 +182,7 @@ class QvaeModel:
         cls = self.classes[index]
         if cls.kind == "diag_gaussian":
             return gaussian_log_prob_t(*gaussian_head_t(raw, cls.width), x_block)
-        lam = ad.sigmoid(ad.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP))
-        return cb_log_prob_t(lam, x_block)
+        return cb_log_prob_t(raw, x_block)
 
 
 def recon_mse(model: QvaeModel, x) -> float:

@@ -54,9 +54,6 @@ class TestOpGradients:
     def test_add_broadcast(self):
         check_op(lambda p, rng: ad.add(p, np.arange(3.0)), lambda rng: rng.normal(size=(4, 3)))
 
-    def test_sub(self):
-        check_op(lambda p, rng: ad.sub(p, 1.5), lambda rng: rng.normal(size=(2, 3)))
-
     def test_mul(self):
         check_op(
             lambda p, rng: ad.mul(p, rng.normal(size=(4, 3))),
@@ -71,12 +68,6 @@ class TestOpGradients:
 
     def test_expm1(self):
         check_op(lambda p, rng: ad.expm1(p), lambda rng: rng.normal(size=(3, 3)))
-
-    def test_log(self):
-        check_op(lambda p, rng: ad.log(p), lambda rng: rng.uniform(0.2, 3.0, size=(3, 3)))
-
-    def test_sigmoid(self):
-        check_op(lambda p, rng: ad.sigmoid(p), lambda rng: rng.normal(size=(3, 4)))
 
     def test_clip_interior(self):
         # keep samples away from the clip boundary so FD stays valid
@@ -94,14 +85,8 @@ class TestOpGradients:
     def test_slice_cols(self):
         check_op(lambda p, rng: ad.slice_cols(p, 1, 3), lambda rng: rng.normal(size=(4, 5)))
 
-    def test_sum_axis(self):
-        check_op(lambda p, rng: ad.sum_axis(p, axis=1), lambda rng: rng.normal(size=(4, 5)))
-
-    def test_scale_and_add_const(self):
-        check_op(
-            lambda p, rng: ad.add_const(ad.scale(p, -2.5), 0.7),
-            lambda rng: rng.normal(size=(2, 3)),
-        )
+    def test_scale(self):
+        check_op(lambda p, rng: ad.scale(p, -2.5), lambda rng: rng.normal(size=(2, 3)))
 
 
 def operand_shape(rng, full):
@@ -111,7 +96,7 @@ def operand_shape(rng, full):
     return tuple(1 if rng.random() < 0.4 else n for n in suffix)
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul])
+@pytest.mark.parametrize("op", [ad.add, ad.mul])
 def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
     rng = np.random.default_rng(60)
     for _ in range(30):
@@ -136,14 +121,14 @@ def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
 class TestBackward:
     def test_sum_of_params_gradient_ones(self):
         p = ad.parameter(np.arange(6.0).reshape(2, 3))
-        loss = ad.sum_axis(ad.sum_axis(p, axis=1), axis=0)
+        loss = ad.scale(ad.mean_all(p), p.data.size)
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, np.ones((2, 3)))
 
     def test_half_norm_gradient_is_p(self):
         x = np.array([[1.0, -2.0, 0.5]])
         p = ad.parameter(x)
-        loss = ad.scale(ad.sum_axis(ad.sum_axis(ad.mul(p, p), axis=1), axis=0), 0.5)
+        loss = ad.scale(ad.mean_all(ad.mul(p, p)), 0.5 * p.data.size)
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, x)
 
@@ -260,8 +245,8 @@ class TestMlp:
         assert graph.data.tobytes() == out.tobytes()
 
     def test_graph_output_is_c_contiguous(self):
-        # The heads slice columns, the CB normalizer indexes by boolean
-        # mask and the log-densities sum along axis 1. On forward_np's
+        # The heads slice columns and the log-densities sum along axis 1.
+        # On forward_np's
         # transposed (F-ordered) view, q-VAE epochs ran about 14% slower
         # (medians of 6 alternating runs on 2 cores, 165 against 145 ms).
         net = Mlp(MlpSpec((3, 6, 4)), seed=1)

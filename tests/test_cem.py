@@ -294,3 +294,48 @@ class TestConfigValidation:
     def test_policy_std_positive(self):
         with pytest.raises(ValueError):
             PolicyParams(mean=np.zeros((1, 1)), std=np.zeros((1, 1)))
+
+    @pytest.mark.parametrize("low, high", [
+        ([np.nan, -1.0], [1.0, 1.0]),
+        ([-1.0, -1.0], [1.0, np.nan]),
+        ([-np.inf], [1.0]),
+        ([-1.0], [np.inf]),
+    ], ids=["nan_low", "nan_high", "inf_low", "inf_high"])
+    def test_non_finite_bounds(self, low, high):
+        # A NaN low bound once reached plan's action, and an infinite one
+        # became an infinite initial std.
+        with pytest.raises(ConfigError, match="finite"):
+            config(action_low=np.array(low), action_high=np.array(high))
+
+    def test_negative_max_iters(self):
+        with pytest.raises(ConfigError, match="max_iters"):
+            config(max_iters=-3)
+        assert config(max_iters=0).max_iters == 0
+
+    def test_nan_time_budget(self):
+        # A NaN budget never compares as spent, so it never stopped the loop.
+        with pytest.raises(ConfigError, match="time_budget"):
+            config(time_budget=np.nan)
+
+    @pytest.mark.parametrize("field, value", [
+        ("candidates", 1000.5), ("horizon", 2.5), ("max_iters", 2.0),
+    ])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            config(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", np.nan), ("mean", np.inf), ("std", np.nan), ("std", np.inf),
+    ])
+    def test_policy_must_be_finite(self, field, value):
+        # A NaN std passed the positivity check, and np.maximum kept it NaN.
+        arrays = {"mean": np.zeros((2, 1)), "std": np.ones((2, 1))}
+        arrays[field][1, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            PolicyParams(**arrays)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_plan_rejects_non_finite_start(self, value):
+        # plan once ranked candidates by all -inf scores from a NaN start.
+        with pytest.raises(ValueError, match="s0"):
+            plan(ShiftModel(), np.array([value]), config(), seed=0)

@@ -6,9 +6,10 @@ from scipy import integrate, stats
 
 from minreal import autodiff as ad
 from minreal.nets import (
+    _CB_SEAM,
+    CB_LOGIT_CLAMP,
     Mlp,
     MlpSpec,
-    cb_log_norm_t,
     cb_log_prob_t,
     gaussian_log_prob_t,
     load_checkpoint,
@@ -18,6 +19,18 @@ from minreal.nets import (
     set_params,
 )
 from test_autodiff import fd_grad
+
+
+def node_gradient(build, arr):
+    """Gradient of mean_all(build(parameter)) at arr, by backward."""
+    p = ad.parameter(arr.copy())
+    ad.backward(ad.mean_all(build(p)))
+    return p.grad
+
+
+def node_value(build, arr):
+    """mean_all(build(arr)) as a float, the function fd_grad differentiates."""
+    return float(ad.mean_all(build(arr)).data)
 
 
 class TestGaussianLogProb:
@@ -66,6 +79,44 @@ class TestGaussianLogProb:
         denom = np.maximum(np.abs(p.grad) + np.abs(num), 1e-6)
         assert np.max(np.abs(p.grad - num) / denom) <= 1e-4
 
+    @pytest.mark.parametrize("stat_rows", [3, 1], ids=["per_row", "broadcast"])
+    def test_gradients_of_mean_log_std_and_tracked_x(self, stat_rows):
+        # stat_rows = 1: a (1, |Z|) mean and log-std, such as the prior's,
+        # broadcast over the batch; their gradients sum over it.
+        rng = np.random.default_rng(11)
+        args = [rng.normal(size=(stat_rows, 4)), rng.uniform(-1, 1, (stat_rows, 4)),
+                rng.normal(size=(3, 4))]
+        for i in range(3):
+            def build(arr, i=i):
+                return gaussian_log_prob_t(*args[:i], arr, *args[i + 1:])
+
+            grad = node_gradient(build, args[i])
+            assert grad.shape == args[i].shape
+            num = fd_grad(lambda arr: node_value(build, arr), args[i].copy())
+            np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-9)
+
+    def test_matches_replaced_op_chain(self):
+        rng = np.random.default_rng(12)
+        mu, x = rng.normal(size=(1, 5)), rng.normal(size=(7, 5))
+        ls = rng.uniform(-6.0, 2.0, size=(7, 5))
+        z = (x - mu) * np.exp(-ls)
+        chain = ((z * z) * -0.5 - ls).sum(axis=1) + -5 * 0.5 * np.log(2.0 * np.pi)
+        np.testing.assert_allclose(gaussian_log_prob_t(mu, ls, x).data, chain,
+                                   rtol=1e-12, atol=0)
+
+    def test_tape_free_value_equals_graph_value(self):
+        rng = np.random.default_rng(13)
+        mu, ls, x = rng.normal(size=(6, 3)), rng.uniform(-2, 1, (6, 3)), rng.normal(size=(6, 3))
+        graph = gaussian_log_prob_t(ad.parameter(mu), ad.parameter(ls), ad.parameter(x))
+        assert graph.data.tobytes() == gaussian_log_prob_t(mu, ls, x).data.tobytes()
+
+    def test_one_call_records_one_node(self):
+        mu, ls = ad.parameter(np.zeros((2, 3))), ad.parameter(np.zeros((2, 3)))
+        x = ad.constant(np.ones((2, 3)))
+        out = gaussian_log_prob_t(mu, ls, x)
+        assert len(out._parents) == 3
+        assert all(a is b for a, b in zip(out._parents, (mu, ls, x)))
+
 
 class TestReparamSample:
     def test_zero_noise_returns_mean(self):
@@ -101,14 +152,37 @@ class TestReparamSample:
             reparam_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 3)))
 
 
+def cb_logit(lam):
+    """The logit log(lambda / (1 - lambda)) at which cb_log_prob_t has mean
+    parameter lambda."""
+    lam = np.asarray(lam, dtype=np.float64)
+    return np.log(lam / (1.0 - lam))
+
+
 def cb_log_norm(lam):
-    """cb_log_norm_t over constant lambdas, as a plain array."""
-    return cb_log_norm_t(np.asarray(lam, dtype=np.float64)).data
+    """log C(lambda) per entry, read off cb_log_prob_t as log p(x = 0) -
+    log(1 - lambda), one single-pixel row per lambda."""
+    lam = np.asarray(lam, dtype=np.float64).reshape(-1, 1)
+    log_p0 = cb_log_prob_t(cb_logit(lam), np.zeros_like(lam)).data
+    return log_p0 - np.log1p(-lam[:, 0])
 
 
 def cb_log_prob(lam, x):
-    """cb_log_prob_t of one row over constants, as a float."""
-    return float(cb_log_prob_t(np.atleast_2d(lam), np.atleast_2d(x)).data[0])
+    """cb_log_prob_t of one row at mean parameters lam, as a float."""
+    return float(cb_log_prob_t(np.atleast_2d(cb_logit(lam)), np.atleast_2d(x)).data[0])
+
+
+def op_chain_cb_log_prob(raw, x):
+    """The op chain cb_log_prob_t replaced, straight-line: sigmoid of the
+    clamped logits, the two logs, and the normalizer in t = lambda - 1/2
+    with its series below |t| = 1e-3."""
+    lam = 1.0 / (1.0 + np.exp(-np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP)))
+    t = lam - 0.5
+    near = np.abs(t) < 1e-3
+    safe = np.where(near, 0.25, t)
+    log_norm = np.where(near, np.log(2.0) + (4.0 / 3.0) * t**2 + (104.0 / 45.0) * t**4,
+                        np.log(2.0 * np.arctanh(-2.0 * safe) / (-2.0 * safe)))
+    return (np.log(lam) * x + np.log(1.0 - lam) * (1.0 - x) + log_norm).sum(axis=1)
 
 
 class TestContinuousBernoulli:
@@ -148,31 +222,96 @@ class TestContinuousBernoulli:
             val, _ = integrate.quad(lambda x: np.exp(cb_log_prob([lam], [x])), 0.0, 1.0)
             assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_matches_replaced_op_chain(self):
+        rng = np.random.default_rng(8)
+        raw = rng.uniform(-6.0, 6.0, size=(16, 32))
+        raw[0, :8] = [0.0, 1e-3, -1e-3, 4e-3, _CB_SEAM, -_CB_SEAM, 0.9 * _CB_SEAM, 0.06]
+        x = rng.uniform(0.0, 1.0, size=raw.shape)
+        np.testing.assert_allclose(cb_log_prob_t(raw, x).data, op_chain_cb_log_prob(raw, x),
+                                   rtol=1e-12, atol=0)
+
+    def test_series_meets_closed_form_at_seam(self):
+        # Values and gradients just inside and outside |c| = _CB_SEAM,
+        # against the closed forms x c + log(c / expm1(c)) and
+        # x - 1 + 1/c - 1/expm1(c) evaluated on both sides.
+        c = np.array([[_CB_SEAM * (1 - 1e-9), _CB_SEAM * (1 + 1e-9),
+                       -_CB_SEAM * (1 - 1e-9), -_CB_SEAM * (1 + 1e-9)]]).T
+        x = np.full_like(c, 0.3)
+        closed = x * c + np.log(c / np.expm1(c))
+        np.testing.assert_allclose(cb_log_prob_t(c, x).data, closed[:, 0], rtol=1e-14, atol=0)
+        grad = node_gradient(lambda arr: cb_log_prob_t(arr, x), c)
+        closed_grad = (x - 1.0 + 1.0 / c - 1.0 / np.expm1(c)) / c.shape[0]
+        np.testing.assert_allclose(grad, closed_grad, rtol=1e-13, atol=0)
+
     def test_log_prob_gradient_check(self):
         for seed in (0, 1, 2):
             rng = np.random.default_rng(seed + 20)
             x = rng.uniform(0, 1, size=(3, 4))
-            lam0 = rng.uniform(0.1, 0.9, size=(3, 4))
+            raw0 = rng.uniform(-4.0, 4.0, size=(3, 4))
 
-            def scalar(arr):
-                return float(ad.mean_all(cb_log_prob_t(ad.parameter(arr), x)).data)
+            def build(arr):
+                return cb_log_prob_t(arr, x)
 
-            p = ad.parameter(lam0.copy())
-            ad.backward(ad.mean_all(cb_log_prob_t(p, x)))
-            num = fd_grad(scalar, lam0.copy())
-            denom = np.maximum(np.abs(p.grad) + np.abs(num), 1e-6)
-            assert np.max(np.abs(p.grad - num) / denom) <= 1e-4
+            num = fd_grad(lambda arr: node_value(build, arr), raw0.copy())
+            np.testing.assert_allclose(node_gradient(build, raw0), num, rtol=1e-6, atol=1e-9)
 
     def test_log_norm_gradient_near_seam(self):
-        lams = np.array([[0.4994, 0.5, 0.5006, 0.3, 0.7]])
+        # At c = 0 and on both sides of the series seam; a difference
+        # straddles the seam at exactly +-_CB_SEAM.
+        s = _CB_SEAM
+        raw0 = np.array([[0.0, 1e-7, -1e-3, 0.5 * s, s * (1 - 1e-3), s, s * (1 + 1e-3),
+                          -s * (1 - 1e-3), -s, -s * (1 + 1e-3), 2 * s]])
+        x = np.random.default_rng(9).uniform(0, 1, size=raw0.shape)
 
-        def scalar(arr):
-            return float(ad.mean_all(cb_log_norm_t(ad.parameter(arr))).data)
+        def build(arr):
+            return cb_log_prob_t(arr, x)
 
-        p = ad.parameter(lams.copy())
-        ad.backward(ad.mean_all(cb_log_norm_t(p)))
-        num = fd_grad(scalar, lams.copy(), h=1e-6)
-        np.testing.assert_allclose(p.grad, num, rtol=1e-3, atol=1e-8)
+        num = fd_grad(lambda arr: node_value(build, arr), raw0.copy(), h=1e-6)
+        np.testing.assert_allclose(node_gradient(build, raw0), num, rtol=1e-6, atol=1e-9)
+
+    def test_log_prob_gradient_near_at_and_beyond_clamp(self):
+        clamp = CB_LOGIT_CLAMP
+        raw0 = np.array([[clamp - 0.1, -clamp + 0.1, -7.5, clamp, -clamp, 15.5, -20.0, 1e3]])
+        x = np.array([[0.2, 0.7, 0.4, 0.2, 0.7, 0.2, 0.7, 1.0]])
+
+        def build(arr):
+            return cb_log_prob_t(arr, x)
+
+        grad = node_gradient(build, raw0)
+        num = fd_grad(lambda arr: node_value(build, arr), raw0.copy())
+        np.testing.assert_allclose(grad[0, :3], num[0, :3], rtol=1e-6, atol=1e-9)
+        # Beyond the clamp the value is flat and the gradient exactly zero.
+        assert (grad[0, 5:] == 0.0).all() and (num[0, 5:] == 0.0).all()
+        # At the clamp the gradient is the inside one: a second-order
+        # one-sided difference from inside.
+        h = 1e-5
+        for j, inward in ((3, -1.0), (4, 1.0)):
+            def at(k, j=j, inward=inward):
+                arr = raw0.copy()
+                arr[0, j] += k * inward * h
+                return node_value(build, arr)
+
+            one_sided = -inward * (3 * at(0) - 4 * at(1) + at(2)) / (2 * h)
+            assert grad[0, j] == pytest.approx(one_sided, rel=1e-6, abs=1e-9)
+            assert grad[0, j] != 0.0
+
+    def test_tape_free_value_equals_graph_value(self):
+        rng = np.random.default_rng(10)
+        raw = rng.uniform(-20.0, 20.0, size=(8, 16))
+        raw[0, :3] = [0.0, 0.01, -CB_LOGIT_CLAMP]
+        x = rng.uniform(0.0, 1.0, size=raw.shape)
+        graph = cb_log_prob_t(ad.parameter(raw), x)
+        assert graph.data.tobytes() == cb_log_prob_t(raw, x).data.tobytes()
+
+    def test_one_call_records_one_node(self):
+        raw = ad.parameter(np.zeros((2, 3)))
+        out = cb_log_prob_t(raw, np.full((2, 3), 0.5))
+        assert out._parents == (raw,)
+        assert not cb_log_prob_t(np.zeros((2, 3)), np.zeros((2, 3)))._parents
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            cb_log_prob_t(np.zeros((2, 3)), np.zeros((2, 4)))
 
 
 class TestForwardNpDtype:

@@ -9,8 +9,8 @@ import pytest
 
 from minreal import autodiff as ad
 from minreal.errors import ConfigError, TrainingAbort
+from minreal.nets import CB_LOGIT_CLAMP
 from minreal.qvae import (
-    CB_LOGIT_CLAMP,
     ObservationClass,
     QvaeModel,
     TrainConfig,
