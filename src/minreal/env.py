@@ -232,12 +232,36 @@ class Transition:
     reward: float
 
 
+def _owner(a):
+    """The array at the end of a's chain of views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
+def _join(a, b):
+    """a and b stacked along axis 0. When b's rows directly follow a's in
+    one C-contiguous buffer, as collect_dataset's splits do in split order,
+    the result is a view of that buffer and nothing is copied; any other
+    pair goes through np.concatenate."""
+    owner = _owner(a)
+    if (a.size and b.size and a.dtype == b.dtype and a.shape[1:] == b.shape[1:]
+            and a.flags.c_contiguous and b.flags.c_contiguous
+            and owner.flags.c_contiguous and _owner(b) is owner
+            and a.ctypes.data + a.nbytes == b.ctypes.data):
+        return np.ndarray((len(a) + len(b), *a.shape[1:]), a.dtype, buffer=owner,
+                          offset=a.ctypes.data - owner.ctypes.data)
+    return np.concatenate([a, b])
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Episodes:
     """E episodes of T steps (see the module docstring); len() counts the
-    E * T transitions and + concatenates episodes. Iteration yields one
-    Transition view per step, in episode order, only for code that reads
-    records one at a time (perfbench fingerprints them)."""
+    E * T transitions and + concatenates episodes: a view of the shared
+    arrays for splits that follow each other in one collection (see _join),
+    a copy otherwise. Iteration yields one Transition view per step, in
+    episode order, only for code that reads records one at a time
+    (perfbench fingerprints them)."""
 
     obs: np.ndarray
     action: np.ndarray
@@ -255,7 +279,7 @@ class Episodes:
         return self.reward.size
 
     def __add__(self, other):
-        return Episodes(*(np.concatenate([getattr(self, f.name), getattr(other, f.name)])
+        return Episodes(*(_join(getattr(self, f.name), getattr(other, f.name))
                           for f in dataclasses.fields(self)))
 
     def __iter__(self):

@@ -26,6 +26,12 @@ threads on first use, and a forked child gets a fresh pool and lock. Scores
 stay bitwise equal to scoring the blocks one after another, in either dtype:
 each block runs the same code on the same rows, depends on nothing outside
 itself and writes its own slice.
+
+train_world runs at whatever OpenBLAS thread count the process has, so
+world artifacts repeat bitwise only at a fixed thread count: at some state
+widths (7 kept dims, say) the products round differently at one thread than
+at two, and the trained parameters differ in the last bits after a few
+epochs.
 """
 
 from __future__ import annotations
@@ -67,8 +73,10 @@ from .latent import apply_mask
 # handing the interpreter lock between rollout threads. At 5 000 rows the
 # planner's K = 10 000 is one block per thread on 2 CPUs. There (numpy 2.4.6,
 # OpenBLAS 0.3.31) a float32 K = 10 000, L = 6 rollout at S = 5 took 12-21 ms
-# against 27-29 ms in 1 024-row blocks; at S = 20 it barely moved, and 2 500-row
-# blocks were faster. The size is fixed rather than K / ROLLOUT_WORKERS: the
+# against 27-29 ms in 1 024-row blocks; at S = 20 it barely moved. 2 500-row
+# blocks looked faster at S = 20 only while their arrays page-faulted in; with
+# no page faults, as inside a long-running planner, 5 000-row blocks took 33.9
+# against 38.8 ms per float32 K = 10 000 rollout. The size is fixed rather than K / ROLLOUT_WORKERS: the
 # block a candidate runs in, and so the last bits of its score, then depend on
 # K alone and not on the host, and K = 1 000 stays one block (two 500-row
 # blocks took twice as long at S = 5).
@@ -223,11 +231,21 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
     return loss, (-float(dyn_lp.data.mean()), -float(rew_lp.data.mean()))
 
 
+def _check_finite(ds: WorldDataset, label):
+    """A ValueError naming the array (label.field) that holds a non-finite
+    value."""
+    for name in _DATASET_SHAPES:
+        if not np.isfinite(getattr(ds, name)).all():
+            raise ValueError(f"non-finite values in {label}.{name}")
+
+
 def heldout_nll(model: WorldModel, ds: WorldDataset):
     """Held-out NLL: wm_loss's heads (_log_probs) run tape-free on the
-    forward_np outputs. Returns (total, dynamics, reward) means."""
+    forward_np outputs. Returns (total, dynamics, reward) means. An empty ds
+    or a non-finite value in it is a ValueError naming the array."""
     if len(ds) == 0:
         raise ValueError("ds must be nonempty")
+    _check_finite(ds, "ds")
     x = np.hstack([ds.states, ds.actions])
     dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward_np(x),
                                 model.reward.forward_np(x), ds)
@@ -409,10 +427,8 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
     checkpoint."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train_ds and val_ds must be nonempty")
-    for split, ds in (("train_ds", train_ds), ("val_ds", val_ds)):
-        for name in _DATASET_SHAPES:
-            if not np.isfinite(getattr(ds, name)).all():
-                raise ValueError(f"non-finite values in {split}.{name}")
+    _check_finite(train_ds, "train_ds")
+    _check_finite(val_ds, "val_ds")
     opt_dyn = Adam(model.dynamics.params, learning_rate=DYNAMICS_LEARNING_RATE)
     opt_rew = Adam(model.reward.params, learning_rate=REWARD_LEARNING_RATE)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))

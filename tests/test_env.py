@@ -372,6 +372,44 @@ class TestEpisodes:
                     getattr(x, name), np.concatenate([getattr(y[0], name), getattr(y[1], name)]))
         assert_records_equal(a + b, list(a) + list(b))
 
+    def test_rejoined_splits_are_a_view_of_the_collection(self):
+        ds = env.collect_dataset(25, seed=12)
+        joined = ds.train + ds.val + ds.test
+        for name in ("obs", "action", "reward"):
+            parts = [getattr(s, name) for s in (ds.train, ds.val, ds.test)]
+            want = np.concatenate(parts)
+            got = getattr(joined, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert np.shares_memory(got, parts[0]) and np.shares_memory(got, parts[2])
+
+    def test_other_pairs_are_copied(self, tmp_path):
+        ds, other = env.collect_dataset(25, seed=12), env.collect_dataset(25, seed=13)
+        for name, split in (("train", ds.train), ("val", ds.val)):
+            env.save_transitions(tmp_path / name, split)
+        loaded = [env.load_transitions(tmp_path / name) for name in ("train", "val")]
+        for a, b in ((ds.val, ds.train), (ds.train, other.val), tuple(loaded)):
+            joined = a + b
+            for name in ("obs", "action", "reward"):
+                got, parts = getattr(joined, name), [getattr(a, name), getattr(b, name)]
+                want = np.concatenate(parts)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not any(np.shares_memory(got, p) for p in parts)
+
+    def test_empty_operand(self):
+        ds = env.collect_dataset(2, seed=14)  # too few episodes for val and test
+        assert len(ds.val) == len(ds.test) == 0
+        for a, b in ((ds.train, ds.val), (ds.test, ds.train), (ds.val, ds.test)):
+            joined = a + b
+            for name in ("obs", "action", "reward"):
+                want = np.concatenate([getattr(a, name), getattr(b, name)])
+                got = getattr(joined, name)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("e", [0, 2])
+    def test_add_rejects_mismatched_steps(self, e):
+        with pytest.raises(ValueError):
+            make_episodes(e=e, t=3) + make_episodes(e=2, t=4)
+
     def test_record_views_equal_straight_line_records(self):
         ds = env.collect_dataset(25, seed=11)
         want = straight_line_splits(25, seed=11)

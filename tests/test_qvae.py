@@ -11,6 +11,7 @@ from minreal import autodiff as ad
 from minreal.errors import ConfigError, TrainingAbort
 from minreal.nets import CB_LOGIT_CLAMP
 from minreal.qvae import (
+    RECON_BLOCK_ROWS,
     ObservationClass,
     QvaeModel,
     TrainConfig,
@@ -586,3 +587,24 @@ class TestPersistence:
         x, _ = tiny_batch(model, 16, seed=18)
         expected = float(np.mean((model.reconstruct(x) - x) ** 2))
         assert recon_mse(model, x) == expected
+
+    @pytest.mark.parametrize("n", [1, RECON_BLOCK_ROWS - 1, RECON_BLOCK_ROWS,
+                                   RECON_BLOCK_ROWS + 1, 2 * RECON_BLOCK_ROWS + 3])
+    def test_recon_mse_in_blocks_equals_one_piece(self, n):
+        model = tiny_model(seed=25)
+        x, _ = tiny_batch(model, n, seed=19)
+        expected = float(np.mean((model.reconstruct(x) - x) ** 2))
+        got = recon_mse(model, x)
+        if n <= RECON_BLOCK_ROWS:
+            assert got == expected
+        else:
+            assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, 5])  # the Gaussian and the image block
+    def test_recon_mse_rejects_non_finite_x(self, col, bad):
+        model = tiny_model(seed=24)
+        x, _ = tiny_batch(model, 16, seed=18)
+        x[11, col] = bad
+        with pytest.raises(ValueError, match="non-finite values in x"):
+            recon_mse(model, x)

@@ -250,6 +250,15 @@ class TestWmLoss:
         with pytest.raises(ValueError, match="ds"):
             heldout_nll(model, make_dataset(n=0))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["states", "actions", "next_states", "rewards"])
+    def test_heldout_nll_rejects_non_finite_data(self, field, bad):
+        model = build_world_model(2, 2, seed=0)
+        ds = make_dataset(n=8, seed=1)
+        getattr(ds, field)[3] = bad
+        with pytest.raises(ValueError, match=rf"ds\.{field}"):
+            heldout_nll(model, ds)
+
 
 class TestRollout:
     def test_empty_actions(self):
