@@ -2,10 +2,11 @@
 
 A Tensor wraps an ndarray plus an optional gradient slot; every op below
 records a closure that maps the upstream gradient to per-input gradients.
-make() builds every node. nets builds its fused nodes with it too: one per
-network (Mlp.forward) and one per likelihood head (gaussian_log_prob_t,
-cb_log_prob_t), each with a hand-written backward, so the ops here are only
-the few that the heads and losses still chain.
+make() builds every node. nets and qvae build their fused nodes with it too:
+one per network (Mlp.forward), one per likelihood head (gaussian_log_prob_t,
+cb_log_prob_t) and one per deformed chain (qvae._deformed_sum_t), each with a
+hand-written backward, so the ops here are only the few that the heads and
+losses still chain.
 backward() walks the recorded graph once from a scalar loss; calling it
 again on the same loss without rebuilding the graph is an error.
 
@@ -89,33 +90,16 @@ def neg(a):
     return make(-a.data, (a,), lambda g: (-g,))
 
 
-def scale(a, c):
-    """Multiply by a python float (no tensor allocated for the constant)."""
-    a = as_tensor(a)
-    c = float(c)
-    return make(a.data * c, (a,), lambda g: (g * c,))
-
-
 def exp(a):
     a = as_tensor(a)
     out = np.exp(a.data)
     return make(out, (a,), lambda g: (g * out,))
 
 
-def expm1(a):
-    a = as_tensor(a)
-    out = np.expm1(a.data)
-    return make(out, (a,), lambda g: (g * (out + 1.0),))
-
-
 def clip(a, lo, hi):
     """Clamp; gradient passes through inside [lo, hi] and is zero outside."""
     a = as_tensor(a)
-    mask = np.ones_like(a.data, dtype=bool)
-    if lo is not None:
-        mask &= a.data >= lo
-    if hi is not None:
-        mask &= a.data <= hi
+    mask = (a.data >= lo) & (a.data <= hi)
     return make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
 
 

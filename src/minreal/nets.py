@@ -112,9 +112,6 @@ class Mlp:
     def n_layers(self):
         return len(self.params) // 2
 
-    def parameter_count(self):
-        return sum(p.data.size for p in self.params)
-
     def forward(self, x) -> ad.Tensor:
         """Graph-recording forward pass over x (batch, in_dim): one node with
         parents x and the parameters. An untracked x gets no gradient."""

@@ -6,11 +6,12 @@ The objective maximized per sample z ~ p(z|x) is
     p(z)^(1-q) * sum_c zeta_c * p(x_<c|z)^(1-q_<c) * ln_{q_c} p(x_c|z)
     + beta * ln_q p(z) - gamma * ln_q p(z|x)
 
-with every likelihood power formed as exp((1-q_j) * log p_j) under one
-exponent clamp (tsallis.MAX_EXPONENT), and gradients kept through all
-factors. At q = 1 every ln_q is the natural log and every power is 1, so
-(with gamma = beta) this is exactly the beta-VAE objective: the standard and
-beta baselines run through the same code path.
+The prior and the classes form one chain and the entropy term another,
+each a single autodiff node (_deformed_sum_t) that forms every power as
+exp((1-q_j) * log p_j) under one exponent clamp (tsallis.MAX_EXPONENT) and
+keeps gradients through all factors. At q = 1 every ln_q is the natural log
+and every power is 1, so (with gamma = beta) this is exactly the beta-VAE
+objective: the standard and beta baselines run through the same code path.
 """
 
 from __future__ import annotations
@@ -117,9 +118,6 @@ class QvaeModel:
             out.extend(dec.params)
         return out
 
-    def parameter_count(self):
-        return sum(p.data.size for p in self.parameters())
-
     def split_observation(self, x):
         """Split (B, obs_dim) into per-class blocks."""
         x = np.asarray(x, dtype=np.float64)
@@ -137,8 +135,11 @@ class QvaeModel:
     # -- inference (tape-free) ------------------------------------------
 
     def encode(self, x) -> DiagGaussian:
-        """Posterior belief over the latent space; deterministic."""
+        """Posterior belief over the latent space; deterministic. Non-finite
+        x is a ValueError."""
         x, _ = self.split_observation(x)
+        if not np.isfinite(x).all():
+            raise ValueError("non-finite values in x")
         mean, log_std = gaussian_head_t(self.encoder.forward_np(x), self.latent_dim)
         return DiagGaussian(mean=mean.data, log_std=log_std.data)
 
@@ -205,8 +206,6 @@ def recon_mse(model: QvaeModel, x) -> float:
     x, _ = model.split_observation(x)
     if x.shape[0] == 0:
         raise ValueError("x must have at least one row")
-    if not np.isfinite(x).all():
-        raise ValueError("non-finite values in x")
     total = 0.0
     for start in range(0, x.shape[0], RECON_BLOCK_ROWS):
         block = x[start : start + RECON_BLOCK_ROWS]
@@ -217,52 +216,83 @@ def recon_mse(model: QvaeModel, x) -> float:
     return float(total / x.size)
 
 
-def _bracket_values(logps, qparams: QParams):
-    """Per-sample bracketed reconstruction quantity (q < 1 only).
+def _deformed_sum_t(log_ps, qs, weights):
+    """The deformed chain sum_k T_k per row, as one node, over log_ps =
+    (log p_0, log p_1, ...) with deformations qs and weights w:
 
-    logps: list of (B,) arrays of per-class log likelihoods.
-    """
-    q = qparams.q
-    qs = (q,) + qparams.class_qs
+        T_k = w_k * (prod_{j<k} p_j^(1-q_j)) * ln_{q_k} p_k.
+
+    Each exponent u_k = (1-q_k) log p_k is clamped from above at
+    MAX_EXPONENT once; p_k^(1-q_k) is exp(u_k) and ln_{q_k} p_k is
+    expm1(u_k) / (1-q_k), or log p_k itself at q_k = 1, where every power is
+    exactly 1. With g the upstream gradient, log p_k's gradient is
+    g (w_k prod_{j<k} e^{u_j} e^{u_k} + (1-q_k) sum_{j>k} T_j), and 0 where
+    the clamp cut.
+
+    Returns (the node, the T_k, the u_k, the number of clamped entries)."""
+    log_ps = [ad.as_tensor(lp) for lp in log_ps]
+    prefix = 1.0  # prod_{j<k} e^{u_j}
+    prefixes, cuts, terms, us = [], [], [], []  # prefixes[k]: prod_{j<=k} e^{u_j}
+    for lp, q, w in zip(log_ps, qs, weights):
+        u = (1.0 - q) * lp.data
+        cut = u > MAX_EXPONENT
+        u[cut] = MAX_EXPONENT
+        lnq = lp.data if q == 1.0 else np.expm1(u) / (1.0 - q)
+        terms.append(prefix * (w * lnq))
+        prefix = prefix * np.exp(u)
+        prefixes.append(prefix)
+        cuts.append(cut)
+        us.append(u)
+
+    def backward_fn(g):
+        grads = []
+        suffix = 0.0  # sum_{j>k} T_j
+        for k in reversed(range(len(terms))):
+            d = weights[k] * prefixes[k] + (1.0 - qs[k]) * suffix
+            d[cuts[k]] = 0.0
+            grads.append(g * d)
+            suffix = suffix + terms[k]
+        return grads[::-1]
+
+    saturated = sum(int(np.count_nonzero(c)) for c in cuts)
+    return ad.make(sum(terms), log_ps, backward_fn), terms, us, saturated
+
+
+def _bracket_values(us, qparams: QParams):
+    """Per-sample bracketed reconstruction quantity (q < 1 only) from the
+    classes' clamped exponents u_c = (1-q_c) log p(x_c|z), (B,) arrays as
+    _deformed_sum_t returns them."""
+    qs = (qparams.q,) + qparams.class_qs
     zs = (qparams.beta,) + qparams.class_weights
     n = qparams.n_classes
-    b = logps[0].shape[0]
-    out = np.zeros(b)
-    log_prefix = np.zeros(b)
+    out = np.zeros(us[0].shape[0])
+    log_prefix = np.zeros_like(out)
     for c in range(1, n + 1):
         gap = zs[c - 1] / (1.0 - qs[c - 1]) - zs[c] / (1.0 - qs[c])
         out += np.exp(log_prefix) * gap
-        log_prefix = log_prefix + np.minimum((1.0 - qs[c]) * logps[c - 1], MAX_EXPONENT)
+        log_prefix = log_prefix + us[c - 1]
     out += zs[n] / (1.0 - qs[n]) * np.exp(log_prefix)
     return out
 
 
 def bracket_term(model: QvaeModel, x, z):
     """The bracketed quantity at given observations and latents, per row:
-    qvae_loss's class heads (_class_log_prob) run tape-free on the decoders'
-    forward_np outputs."""
-    if model.qparams.q == 1.0:
+    qvae_loss's class heads (_class_log_prob) and class chain
+    (_deformed_sum_t) run tape-free on the decoders' forward_np outputs."""
+    qparams = model.qparams
+    if qparams.q == 1.0:
         raise ConfigError("the bracket is defined only for q < 1")
     _, blocks = model.split_observation(x)
-    logps = [model._class_log_prob(i, dec.forward_np(z), blocks[i]).data
+    logps = [model._class_log_prob(i, dec.forward_np(z), blocks[i])
              for i, dec in enumerate(model.decoders)]
-    return _bracket_values(logps, model.qparams)
-
-
-def _q_log_t(log_p, q):
-    """ln_q p from log p in the graph, the exponent (1-q) log p clamped from
-    above at MAX_EXPONENT. Returns (ln_q p, the clamped exponent, the number
-    of clamped entries); (log_p, None, 0) at q = 1."""
-    if q == 1.0:
-        return log_p, None, 0
-    u = ad.clip(ad.scale(log_p, 1.0 - q), None, MAX_EXPONENT)
-    saturated = int(np.count_nonzero((1.0 - q) * log_p.data > MAX_EXPONENT))
-    return ad.scale(ad.expm1(u), 1.0 / (1.0 - q)), u, saturated
+    _, _, us, _ = _deformed_sum_t(logps, qparams.class_qs, qparams.class_weights)
+    return _bracket_values(us, qparams)
 
 
 def qvae_loss(model: QvaeModel, x, noise):
     """Monte-Carlo estimate (one z per datum) of minus the objective under
-    model.qparams.
+    model.qparams: one _deformed_sum_t chain over the prior and the classes,
+    one over the posterior for the entropy term.
 
     Returns (loss tensor, LossBreakdown). Raises TrainingAbort when the
     bracket goes negative (q < 1) and on non-finite values. The sparsity
@@ -284,39 +314,22 @@ def qvae_loss(model: QvaeModel, x, noise):
     log_pcs = [model._class_log_prob(i, dec.forward(z_t), blocks[i])
                for i, dec in enumerate(model.decoders)]
 
-    lnq_pz, u_pz, saturation = _q_log_t(log_pz, qparams.q)
-    lnq_pzx, _, saturated = _q_log_t(log_pzx, qparams.q)
+    chain_t, terms, us, saturation = _deformed_sum_t(
+        [log_pz, *log_pcs], (qparams.q, *qparams.class_qs),
+        (qparams.beta, *qparams.class_weights))
+    entropy_t, _, _, saturated = _deformed_sum_t([log_pzx], (qparams.q,), (-qparams.gamma,))
     saturation += saturated
-    pz_pow = None if u_pz is None else ad.exp(u_pz)  # p(z)^(1-q); None while it is 1
-    recon_terms = []
-    prefix_t = None  # p(x_<c|z)^(1-q_<c), running product; None while it is 1
-    for c, (lp, qc, w) in enumerate(zip(log_pcs, qparams.class_qs, qparams.class_weights)):
-        lnq_c, u_c, saturated = _q_log_t(lp, qc)
-        saturation += saturated
-        term = ad.scale(lnq_c, w)
-        if prefix_t is not None:
-            term = ad.mul(prefix_t, term)
-        recon_terms.append(term if pz_pow is None else ad.mul(pz_pow, term))
-        if u_c is not None and c + 1 < len(log_pcs):
-            pow_c = ad.exp(u_c)
-            prefix_t = pow_c if prefix_t is None else ad.mul(prefix_t, pow_c)
-    prior_t = ad.scale(lnq_pz, qparams.beta)
-    entropy_t = ad.scale(lnq_pzx, -qparams.gamma)
 
     bracket_min = float("nan")
     if qparams.q < 1.0:
-        bracket_min = float(_bracket_values([lp.data for lp in log_pcs], qparams).min())
+        bracket_min = float(_bracket_values(us[1:], qparams).min())
         if bracket_min < 0.0:
             raise TrainingAbort(
                 f"non-negativity bracket violated: min {bracket_min}",
                 diagnostics={"bracket_min": bracket_min},
             )
 
-    obj = recon_terms[0]
-    for term in recon_terms[1:]:
-        obj = ad.add(obj, term)
-    obj = ad.add(ad.add(obj, prior_t), entropy_t)
-    loss = ad.neg(ad.mean_all(obj))
+    loss = ad.neg(ad.mean_all(ad.add(chain_t, entropy_t)))
 
     if not np.isfinite(loss.data):
         raise TrainingAbort(
@@ -330,8 +343,8 @@ def qvae_loss(model: QvaeModel, x, noise):
 
     breakdown = LossBreakdown(
         total=float(loss.data),
-        recon_per_class=[float(t.data.mean()) for t in recon_terms],
-        prior_term=float(prior_t.data.mean()),
+        recon_per_class=[float(t.mean()) for t in terms[1:]],
+        prior_term=float(terms[0].mean()),
         entropy_term=float(entropy_t.data.mean()),
         bracket_min=bracket_min,
         saturation_count=saturation,

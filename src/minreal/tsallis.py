@@ -6,8 +6,8 @@ log-density (gaussian_log_prob_t) live in nets, for training and inference
 alike.
 
 Functions accept scalars or numpy arrays (float64 throughout). q_log at
-q = 1 is the exact natural log, never a numerical limit. The graph-side ln_q
-the loss uses lives in qvae, which clamps the exponent (1-q)*log p at
+q = 1 is the exact natural log, never a numerical limit. The loss forms its
+ln_q inside qvae._deformed_sum_t, which clamps the exponent (1-q)*log p at
 MAX_EXPONENT before exp(); q_log here is its test oracle.
 """
 
@@ -90,8 +90,10 @@ class QParams:
                 f"class_qs has length {len(self.class_qs)} but class_weights "
                 f"has length {len(self.class_weights)}"
             )
-        if not np.isfinite((self.beta, self.gamma, *self.class_weights)).all():
-            raise ConfigError(f"beta, gamma and class_weights must be finite: {self}")
+        if not np.isfinite((self.beta, self.gamma, *self.class_qs,
+                            *self.class_weights)).all():
+            raise ConfigError(
+                f"beta, gamma, class_qs and class_weights must be finite: {self}")
         if any(w <= 0 for w in self.class_weights):
             raise ConfigError(f"class_weights must be positive, got {self.class_weights}")
         if self.beta <= 0 or self.gamma <= 0:

@@ -117,9 +117,6 @@ class WorldModel:
         self.dynamics = dynamics
         self.reward = reward
 
-    def parameter_count(self):
-        return self.dynamics.parameter_count() + self.reward.parameter_count()
-
     def parameters(self):
         return list(self.dynamics.params) + list(self.reward.params)
 

@@ -15,7 +15,8 @@ from minreal.qvae import (
     ObservationClass,
     QvaeModel,
     TrainConfig,
-    _q_log_t,
+    _bracket_values,
+    _deformed_sum_t,
     bracket_term,
     build_qvae,
     load_qvae,
@@ -36,6 +37,9 @@ QP_TABLE = QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0),
                    beta=50.0, gamma=3.0)
 QP_VAE = QParams(q=1.0, class_qs=(1.0, 1.0), class_weights=(1.0, 1.0),
                  beta=1.0, gamma=1.0)
+# A strict chain: 30 > 20 > 5 (check_sparsity_condition).
+QP_STRICT = QParams(q=0.9, class_qs=(0.95, 0.999), class_weights=(10.0, 0.05),
+                    beta=30.0, gamma=3.0)
 
 
 def tiny_model(qparams=QP_TABLE, seed=0, latent_dim=3):
@@ -128,6 +132,26 @@ def straight_line_loss(model, x, noise, qp, max_exponent=50.0):
     return -float(np.mean(obj))
 
 
+def assert_loss_gradient_matches_fd(model, x, noise):
+    """Every parameter's gradient of qvae_loss against central differences."""
+    loss, _ = qvae_loss(model, x, noise)
+    ad.zero_grads(model.parameters())
+    ad.backward(loss)
+    for p in model.parameters():
+        analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+
+        def f(arr, p=p):
+            old = p.data
+            p.data = arr
+            v, _ = qvae_loss(model, x, noise)
+            p.data = old
+            return float(v.data)
+
+        numeric = fd_grad(f, p.data.copy())
+        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+        assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+
+
 class TestEncodeDecode:
     def test_zero_weight_encoder(self):
         model = tiny_model()
@@ -154,6 +178,15 @@ class TestEncodeDecode:
         belief = model.encode(x)
         np.testing.assert_allclose(belief.mean, enc[:, :3], atol=1e-12)
         np.testing.assert_allclose(belief.log_std, np.clip(enc[:, 3:], -6, 2), atol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, 5])  # the Gaussian and the image block
+    def test_encode_rejects_non_finite_x(self, col, bad):
+        model = tiny_model(seed=3)
+        x, _ = tiny_batch(model, 4, seed=1)
+        x[2, col] = bad
+        with pytest.raises(ValueError, match="non-finite values in x"):
+            model.encode(x)
 
     def test_zero_weight_cb_decoder(self):
         model = tiny_model()
@@ -321,30 +354,16 @@ class TestLoss:
                 [rng.normal(0, 0.5, (4, 2)), rng.uniform(0, 1, (4, 8))]
             )
             noise = rng.standard_normal((4, 3))
-            loss, _ = qvae_loss(model, x, noise)
-            ad.zero_grads(model.parameters())
-            ad.backward(loss)
-            for p in model.parameters():
-                analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
-
-                def f(arr, p=p):
-                    old = p.data
-                    p.data = arr
-                    v, _ = qvae_loss(model, x, noise)
-                    p.data = old
-                    return float(v.data)
-
-                numeric = fd_grad(f, p.data.copy())
-                denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-                assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+            assert_loss_gradient_matches_fd(model, x, noise)
 
 
 class TestQLogPath:
-    """The loss's one ln_q: ln_q p from log p, exponent clamped at 50."""
+    """The loss's one ln_q: a one-element _deformed_sum_t chain of weight 1
+    is ln_q p from log p, its exponent clamped at 50."""
 
     @staticmethod
     def lnq(ell, q):
-        return _q_log_t(ad.constant(np.atleast_1d(ell)), q)[0].data
+        return _deformed_sum_t([ad.constant(np.atleast_1d(ell))], (q,), (1.0,))[0].data
 
     def test_zero_log(self):
         assert self.lnq(0.0, 0.3)[0] == 0.0
@@ -358,17 +377,107 @@ class TestQLogPath:
         assert self.lnq(1000.0, 0.999)[0] == pytest.approx(expected, rel=1e-12)
 
     def test_q1_identity(self):
-        log_p = ad.constant(np.array([-123.4]))
-        out, u, saturated = _q_log_t(log_p, 1.0)
-        assert out is log_p and u is None and saturated == 0
+        log_p = ad.parameter(np.array([-123.4, 7.5]))
+        out, _, us, saturated = _deformed_sum_t([log_p], (1.0,), (1.0,))
+        assert out.data.tobytes() == log_p.data.tobytes()
+        np.testing.assert_array_equal(us[0], 0.0)
+        assert saturated == 0
+        np.testing.assert_array_equal(out._backward(np.ones(2))[0], 1.0)
 
     def test_exponent_clamp_and_saturation(self):
-        # (1-q)*ell = 100 and 60 > 50: clamped and counted; 0 is not.
-        out, u, saturated = _q_log_t(ad.constant(np.array([1000.0, 0.0, 600.0])), 0.9)
+        # (1-q)*ell = 100 and 60 > 50: clamped, counted and given no
+        # gradient; 0 is not.
+        log_p = ad.parameter(np.array([1000.0, 0.0, 600.0]))
+        out, _, us, saturated = _deformed_sum_t([log_p], (0.9,), (1.0,))
         np.testing.assert_allclose(out.data, [np.expm1(50.0) / 0.1, 0.0, np.expm1(50.0) / 0.1],
                                    rtol=1e-12)
-        np.testing.assert_array_equal(u.data, [50.0, 0.0, 50.0])
+        np.testing.assert_array_equal(us[0], [50.0, 0.0, 50.0])
         assert saturated == 2
+        np.testing.assert_array_equal(out._backward(np.ones(3))[0], [0.0, 1.0, 0.0])
+
+
+THREE_CLASSES = (
+    ObservationClass("proprio", "diag_gaussian", 2),
+    ObservationClass("velocity", "diag_gaussian", 3),
+    ObservationClass("image", "continuous_bernoulli", 4),
+)
+# A strict chain: 50 > 40 > 30 > 25.
+QP_THREE = QParams(q=0.95, class_qs=(0.95, 0.99, 0.999), class_weights=(40.0, 6.0, 0.5),
+                   beta=50.0, gamma=3.0)
+QP_THREE_VAE = QParams(q=1.0, class_qs=(1.0, 1.0, 1.0), class_weights=(2.0, 1.0, 0.5),
+                       beta=1.0, gamma=1.0)
+
+
+def loss_node_count(loss):
+    """Recorded nodes (tensors with parents) in the graph behind loss."""
+    seen, stack, count = set(), [loss], 0
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen:
+            seen.add(id(t))
+            count += bool(t._parents)
+            stack.extend(t._parents)
+    return count
+
+
+class TestDeformedChain:
+    """_deformed_sum_t over more than one density: three classes put two
+    terms in the suffix sum of the first class's gradient."""
+
+    @staticmethod
+    def three_class_model(qparams, seed):
+        return build_qvae(THREE_CLASSES, latent_dim=3, qparams=qparams, encoder_hidden=(6,),
+                          decoder_hidden=[(4,), (4,), (4,)], seed=seed)
+
+    @staticmethod
+    def three_class_batch(n, seed):
+        rng = np.random.default_rng(seed)
+        x = np.hstack([rng.normal(0, 0.5, (n, 5)), rng.uniform(0, 1, (n, 4))])
+        return x, rng.standard_normal((n, 3))
+
+    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
+    def test_three_classes_match_straight_line_oracle(self, qparams):
+        for seed in (0, 1, 2):
+            model = self.three_class_model(qparams, seed)
+            x, noise = self.three_class_batch(9, seed + 20)
+            loss, bd = qvae_loss(model, x, noise)
+            assert float(loss.data) == pytest.approx(
+                straight_line_loss(model, x, noise, qparams), abs=1e-10)
+            assert len(bd.recon_per_class) == 3
+
+    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
+    def test_three_classes_gradient_finite_difference(self, qparams):
+        model = self.three_class_model(qparams, 3)
+        x, noise = self.three_class_batch(4, 30)
+        assert_loss_gradient_matches_fd(model, x, noise)
+
+    @pytest.mark.parametrize("qparams", [QP_TABLE, QP_STRICT, QP_THREE])
+    def test_slope_in_log_prior_is_the_bracket(self, qparams):
+        # d chain / d log p(z) = (1-q) p(z)^(1-q) * bracket, per row: the
+        # paper's reading of the bracket as the sign of that slope.
+        rng = np.random.default_rng(50)
+        rows = 7
+        log_pz = ad.parameter(rng.normal(-5.0, 2.0, rows))
+        log_pcs = [rng.normal(0.0, 30.0, rows) for _ in qparams.class_qs]
+        chain, _, _, saturated = _deformed_sum_t(
+            [log_pz, *log_pcs], (qparams.q, *qparams.class_qs),
+            (qparams.beta, *qparams.class_weights))
+        assert saturated == 0
+        slope = chain._backward(np.ones(rows))[0]
+        us = [(1.0 - qc) * lp for qc, lp in zip(qparams.class_qs, log_pcs)]
+        q = qparams.q
+        expected = (1.0 - q) * np.exp((1.0 - q) * log_pz.data) * _bracket_values(us, qparams)
+        np.testing.assert_allclose(slope, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("qparams", [QP_TABLE, QP_VAE])
+    def test_loss_records_at_most_21_nodes(self, qparams):
+        # encoder 1, its head 3, the sample 3, two Gaussian densities,
+        # decoders 2, class densities 4 + 1, the two chains and the
+        # add / mean / neg that finish the loss.
+        model = tiny_model(qparams=qparams, seed=1)
+        x, noise = tiny_batch(model, 8)
+        loss, _ = qvae_loss(model, x, noise)
+        assert loss_node_count(loss) <= 21
 
 
 class TestReconChain:

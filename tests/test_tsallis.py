@@ -155,3 +155,9 @@ class TestSparsityCondition:
         with pytest.raises(ConfigError, match="finite"):
             QParams(**kwargs)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_class_q_rejected(self, value):
+        # NaN once passed every ordering check, so check_sparsity_condition
+        # called the chain (1.0, nan) satisfied and training aborted at step 1.
+        with pytest.raises(ConfigError, match="finite"):
+            QParams(0.5, (value,), (1.0,), 1.0, 1.0)

@@ -597,23 +597,36 @@ class TestEncodeDataset:
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("col", [0, env.PROPRIO_DIM + 7])  # proprio, image
+    def test_non_finite_observation_rejected(self, col, bad):
+        obs = self.episodes.obs.copy()
+        obs[1, 4, col] = bad
+        episodes = env.Episodes(obs, self.episodes.action, self.episodes.reward)
+        with pytest.raises(ValueError, match="non-finite values in x"):
+            encode_dataset(self.vae, None, episodes)
+
     def test_deterministic(self):
         a = encode_dataset(self.vae, None, self.episodes)
         b = encode_dataset(self.vae, None, self.episodes)
         assert a.states.tobytes() == b.states.tobytes()
 
 
+def parameter_count(model):
+    return sum(p.data.size for p in model.parameters())
+
+
 class TestParameterCounts:
     def test_masked_smaller_than_unmasked(self):
-        full = build_world_model(12, 2, seed=0)
-        masked = build_world_model(5, 2, seed=0)
-        assert masked.parameter_count() < full.parameter_count()
-        assert masked.parameter_count() / full.parameter_count() <= 0.40
+        full = parameter_count(build_world_model(12, 2, seed=0))
+        masked = parameter_count(build_world_model(5, 2, seed=0))
+        assert masked < full
+        assert masked / full <= 0.40
 
     def test_count_is_exact(self):
         model = build_world_model(3, 2, dyn_hidden=(4,), rew_hidden=(4,), seed=0)
         # dynamics: 5*4+4 + 4*6+6 = 54; reward: 5*4+4 + 4*2+2 = 34
-        assert model.parameter_count() == 54 + 34
+        assert parameter_count(model) == 54 + 34
 
 
 class TestTrainWorld:
