@@ -13,9 +13,13 @@ code as the losses and read .data.
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Mlp._layers is the one layer loop.
 forward_np() runs it tape-free, for encoding, evaluation and planning;
-forward() runs it in float64 and records the network as one autodiff node,
-whose value equals forward_np's bit for bit and whose backward runs the
-layers in reverse.
+forward() runs it in GRAPH_DTYPE (float32) and records the network as one
+autodiff node, whose backward runs the layers in reverse in the same dtype.
+Training thus does its layer math in float32 under float64 master weights:
+the parameters, Adam's moments, the heads and losses, the checkpoints and
+every tape-free path stay float64. The node's value is forward_np's output
+on the input cast to GRAPH_DTYPE, bit for bit, as float64, and the
+gradients it passes back are float64.
 
 The loop is feature-major: each layer computes W.T @ h + b[:, None] on
 (features, batch), and the activation and layer norm (reducing along axis 0,
@@ -45,6 +49,17 @@ _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 ACTIVATIONS = ("swish", "tanh")
 
 LAYER_NORM_EPS = 1e-5
+
+# Compute dtype of Mlp.forward's layers and their backward: the training
+# math. Parameters, Adam's moments, the heads, the losses, checkpoints and
+# every tape-free path stay float64. On 2 CPUs (numpy 2.4.6, OpenBLAS
+# 0.3.31), 10 paper-config q-VAE epochs on perfbench's training data took
+# 0.50-0.56 s in float32 against 0.67-0.72 s in float64, and 20 world epochs
+# at 7 kept dims 0.13-0.15 against 0.17-0.20 s (3 alternating in-process
+# runs each). Per-epoch q-VAE totals stayed within 5e-5 relative and world
+# val_total within 0.0016 nats of float64 training; tests/test_float32_training.py
+# gates both against float64.
+GRAPH_DTYPE = np.float32
 
 # Adam's moment decay rates and denominator offset.
 ADAM_BETA1 = 0.9
@@ -114,36 +129,43 @@ class Mlp:
 
     def forward(self, x) -> ad.Tensor:
         """Graph-recording forward pass over x (batch, in_dim): one node with
-        parents x and the parameters. An untracked x gets no gradient."""
+        parents x and the parameters. The layers and their backward run in
+        GRAPH_DTYPE, with x and the weights cast once per call; the node's
+        value is forward_np(x cast to GRAPH_DTYPE) as a C-ordered float64
+        array, and the gradients are float64. An untracked x gets no
+        gradient."""
         x = ad.as_tensor(x)
         # Checked first, so a diverged parameter aborts before it pushes NaN
         # through every layer.
         for j, p in enumerate(self.params):
             if not np.isfinite(p.data).all():
                 raise TrainingAbort(f"non-finite values in parameter {_param_name(j)}")
-        weights = [p.data for p in self.params[::2]]
+        dtype = GRAPH_DTYPE
+        x_in = x.data.astype(dtype, copy=False)
         saved = []
-        out = self._layers(x.data, np.float64, saved)
+        out = self._layers(x_in, dtype, saved)
         if not np.isfinite(out).all():
             raise TrainingAbort("non-finite values in forward pass")
 
         def backward_fn(g):
             # Feature-major like the layers. The linear output layer only
             # reads g; each later g is a fresh product, so it may be written.
-            g = g.T
+            g = g.T.astype(dtype, copy=False)
             grads = [None] * len(self.params)
             for i in reversed(range(self.n_layers)):
-                pre, y, std = saved[i]
+                w, pre, y, std = saved[i]
                 # A layer's input is the previous layer's output.
-                h_in = saved[i - 1][1] if i > 0 else x.data.T
+                h_in = saved[i - 1][2] if i > 0 else x_in.T
                 if pre is not None:
                     g = _hidden_grad(g, pre, y, std, self.spec.activation)
-                grads[2 * i], grads[2 * i + 1] = h_in @ g.T, g.sum(axis=1)
-                g = weights[i] @ g if i > 0 or ad.tracked(x) else None
-            return (None if g is None else g.T, *grads)
+                grads[2 * i] = (h_in @ g.T).astype(np.float64, copy=False)
+                grads[2 * i + 1] = g.sum(axis=1).astype(np.float64, copy=False)
+                g = w @ g if i > 0 or ad.tracked(x) else None
+            return (None if g is None else g.T.astype(np.float64, copy=False), *grads)
 
         # C order, so the heads' column slices and axis=1 sums read rows.
-        return ad.make(np.ascontiguousarray(out.T), (x, *self.params), backward_fn)
+        return ad.make(np.ascontiguousarray(out.T, dtype=np.float64), (x, *self.params),
+                       backward_fn)
 
     def forward_np(self, x) -> np.ndarray:
         """Tape-free forward pass over a plain array (batch, in_dim), in
@@ -158,18 +180,19 @@ class Mlp:
     def _layers(self, x, dtype, saved=None):
         """The output layer's (out_dim, batch) array for x (batch, in_dim),
         computed feature-major in dtype. A list `saved` gets each layer's
-        (pre-activation, output, layer-norm std), the first and last None
-        for the linear output layer."""
+        (weight in dtype, pre-activation, output, layer-norm std), the
+        pre-activation and std None for the linear output layer."""
         if x.ndim != 2 or x.shape[1] != self.spec.in_dim:
             raise ValueError(f"expected input (batch, {self.spec.in_dim}), got {x.shape}")
         act = _swish_np if self.spec.activation == "swish" else np.tanh
         h = x.T
         n = self.n_layers
         for i in range(n):
-            w, b = self.params[2 * i], self.params[2 * i + 1]
+            w = self.params[2 * i].data.astype(dtype, copy=False)
+            b = self.params[2 * i + 1].data.astype(dtype, copy=False)
             # The product is a fresh array, so the caller's x is never written.
-            h = w.data.astype(dtype, copy=False).T @ h
-            h += b.data.astype(dtype, copy=False)[:, None]
+            h = w.T @ h
+            h += b[:, None]
             pre = std = None
             if i < n - 1:
                 pre = h
@@ -177,7 +200,7 @@ class Mlp:
                 h = act(pre, out=pre if saved is None else np.empty_like(pre))
                 h, std = _layer_norm_np(h)
             if saved is not None:
-                saved.append((pre, h, std))
+                saved.append((w, pre, h, std))
         return h
 
 

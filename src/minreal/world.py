@@ -294,8 +294,10 @@ def rollout_batch(model, s0, action_seqs):
 
     action_seqs is (K, L, A); returns total scores (K,), with -inf for
     candidates with a non-finite reward or a non-finite state that feeds a
-    later reward. Candidates run in blocks of ROLLOUT_BLOCK_ROWS rows, each
-    over the whole horizon, so the model is called 2L - 1 times per block
+    later reward. Such a dead candidate runs on with a zero state for the
+    rest of the horizon, so that no non-finite state reaches the model.
+    Candidates run in blocks of ROLLOUT_BLOCK_ROWS rows, each over the
+    whole horizon, so the model is called 2L - 1 times per block
     and large blocks keep per-call overhead small (see the constant). The
     state after the last action is never scored, so the dynamics run L - 1
     times per block. Scores equal the reward sums of K independent rollout()
@@ -332,6 +334,10 @@ def rollout_batch(model, s0, action_seqs):
                 if t + 1 < horizon:
                     s = model.dynamics_mean(s, a)
                     alive &= np.all(np.isfinite(s), axis=1)
+                    if not alive.all():
+                        # Dead rows go on with state 0, so no inf or NaN
+                        # goes through the nets; their score stays -inf.
+                        s = np.where(alive[:, None], s, 0.0)
             scores[lo : lo + ROLLOUT_BLOCK_ROWS] = total
 
     starts = range(0, k, ROLLOUT_BLOCK_ROWS)

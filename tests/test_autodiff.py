@@ -1,5 +1,7 @@
 """Engine tests: finite-difference gradient checks for every op and for the
-Mlp node, backward guard rails, and a straight-line MLP forward oracle."""
+Mlp node, backward guard rails, and a straight-line MLP forward oracle. The
+Mlp's float64 oracle checks run with the graph in float64 (the float64_graph
+fixture), and each has a float32 twin."""
 
 import itertools
 import warnings
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from minreal import autodiff as ad
+from minreal import nets
 from minreal.errors import ConfigError, TrainingAbort
 from minreal.nets import Adam, Mlp, MlpSpec
 
@@ -27,6 +30,29 @@ def fd_grad(f, x, h=1e-5):
         flat[i] = orig
         gf[i] = (hi - lo) / (2.0 * h)
     return g
+
+
+# The float32 twins hold Mlp.forward's default float32 graph to the float64
+# oracles of the float64 tests, with 10x headroom over the largest gaps
+# measured on these tests' tiny nets: 2.0e-6 relative in a net's output
+# values (1.3e-6 in a loss or bracket), and 1.9e-6 of the largest gradient
+# magnitude against finite differences.
+F32_RTOL = 2e-5  # values and losses, relative
+F32_GRAD_TOL = 2e-5  # gradients, as a share of the oracle's largest magnitude
+
+
+def assert_within_largest(actual, expected, tol):
+    """max |actual - expected| <= tol * max |expected|: a gradient measure that
+    float32 rounding in small entries of a large array does not trip."""
+    assert np.max(np.abs(actual - expected)) <= tol * np.max(np.abs(expected))
+
+
+def in_float64(monkeypatch, fn):
+    """fn() with the graph in float64: a float32 twin's finite differences,
+    which float32 rounding would swamp."""
+    with monkeypatch.context() as m:
+        m.setattr(nets, "GRAPH_DTYPE", np.float64)
+        return fn()
 
 
 def check_op(build, x0, seeds=(0, 1, 2), rel=1e-4):
@@ -145,18 +171,32 @@ class TestBackward:
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, [8.0])
 
+    @pytest.mark.usefixtures("float64_graph")
     def test_constant_matmul_operands_get_no_gradient(self):
         # Mlp.forward's first dense product skips the gradient of an
         # untracked input, such as a data batch.
+        net, x = self.constant_input_net()
+        for p in net.params:
+            np.testing.assert_allclose(p.grad, param_fd_grad(net, x.data, p),
+                                       rtol=1e-6, atol=1e-9)
+
+    def test_constant_matmul_operands_get_no_gradient_float32(self, monkeypatch):
+        net, x = self.constant_input_net()
+        for p in net.params:
+            numeric = in_float64(monkeypatch, lambda: param_fd_grad(net, x.data, p))
+            assert_within_largest(p.grad, numeric, F32_GRAD_TOL)
+
+    @staticmethod
+    def constant_input_net():
+        """A net after backward from mean(net(x)^2) at a constant x, which
+        gets no gradient."""
         net = Mlp(MlpSpec((3, 5, 2), activation="tanh"), seed=3)
         x = ad.constant(np.random.default_rng(3).normal(size=(4, 3)))
         out = net.forward(x)
         assert out._backward(np.ones_like(out.data))[0] is None
         ad.backward(ad.mean_all(ad.mul(out, out)))
         assert x.grad is None
-        for p in net.params:
-            np.testing.assert_allclose(p.grad, param_fd_grad(net, x.data, p),
-                                       rtol=1e-6, atol=1e-9)
+        return net, x
 
 
 def mlp_loss(net, x):
@@ -201,18 +241,15 @@ class TestMlp:
         expected = t / np.sqrt((t * t).mean() + 1e-5)
         np.testing.assert_allclose(net.forward_np(v), expected, rtol=1e-12)
 
-    def test_forward_matches_straight_line_reimplementation(self):
-        spec = MlpSpec((4, 8, 6, 3), activation="swish")
-        net = Mlp(spec, seed=7)
-        rng = np.random.default_rng(3)
-        x = rng.normal(size=(5, 4))
-
-        # Feature-major, as forward_np computes: h is (features, batch) and
-        # layer norm reduces along axis 0.
-        h = x.T
+    @staticmethod
+    def straight_line_forward(net, x, dtype):
+        """The layers computed step by step in dtype, feature-major as
+        forward_np computes: h is (features, batch) and layer norm reduces
+        along axis 0."""
+        h = x.astype(dtype).T
         for i in range(3):
-            w = net.params[2 * i].data
-            b = net.params[2 * i + 1].data
+            w = net.params[2 * i].data.astype(dtype)
+            b = net.params[2 * i + 1].data.astype(dtype)
             h = w.T @ h + b[:, None]
             if i < 2:
                 h = h / (1.0 + np.exp(-h))
@@ -220,23 +257,55 @@ class TestMlp:
                 xc = h - mu
                 var = np.einsum("ij,ij->j", xc, xc) / h.shape[0]
                 h = xc / np.sqrt(var + 1e-5)
-        h = h.T
+        return h.T
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_forward_matches_straight_line_reimplementation(self):
+        net = Mlp(MlpSpec((4, 8, 6, 3), activation="swish"), seed=7)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        h = self.straight_line_forward(net, x, np.float64)
         # Same ops in the same order as the oracle, so the same bits, on
         # both passes.
         assert net.forward_np(x).tobytes() == h.tobytes()
         assert net.forward(x).data.tobytes() == h.tobytes()
 
+    def test_forward_matches_straight_line_reimplementation_float32(self):
+        net = Mlp(MlpSpec((4, 8, 6, 3), activation="swish"), seed=7)
+        x = np.random.default_rng(3).normal(size=(5, 4))
+        out = net.forward(x).data
+        h = self.straight_line_forward(net, x, np.float32)
+        assert out.tobytes() == h.astype(np.float64).tobytes()
+        np.testing.assert_allclose(out, self.straight_line_forward(net, x, np.float64),
+                                   rtol=F32_RTOL, atol=F32_RTOL)
+
+    @pytest.mark.usefixtures("float64_graph")
     @pytest.mark.parametrize("activation", ["swish", "tanh"])
     def test_tape_free_matches_graph(self, activation):
-        spec = MlpSpec((5, 16, 12, 3), activation=activation)
-        net = Mlp(spec, seed=2)
+        net, x, graph = self.graph_of_tracked_input(activation)
+        assert graph.data.tobytes() == net.forward_np(x).tobytes()
+
+    @pytest.mark.parametrize("activation", ["swish", "tanh"])
+    def test_float32_graph_value_is_forward_np_of_float32_input(self, activation):
+        # The gate of the float32 graph: its value is forward_np's float32
+        # output, exactly, as a C-ordered float64 array.
+        net, x, graph = self.graph_of_tracked_input(activation)
+        out = net.forward_np(x.astype(np.float32))
+        assert out.dtype == np.float32
+        assert graph.data.dtype == np.float64 and graph.data.flags.c_contiguous
+        assert graph.data.tobytes() == out.astype(np.float64).tobytes()
+
+    @staticmethod
+    def graph_of_tracked_input(activation):
+        """(net, x, forward of x as a parameter), checking that neither pass
+        writes x."""
+        net = Mlp(MlpSpec((5, 16, 12, 3), activation=activation), seed=2)
         x = 2.0 * np.random.default_rng(4).normal(size=(64, 5))
         x_before = x.copy()
-        out = net.forward_np(x)
+        net.forward_np(x)
         assert x.tobytes() == x_before.tobytes()
         graph = net.forward(ad.parameter(x))
         assert x.tobytes() == x_before.tobytes()
-        assert graph.data.tobytes() == out.tobytes()
+        return net, x, graph
 
     def test_graph_output_is_c_contiguous(self):
         # The heads slice columns and the log-densities sum along axis 1.
@@ -264,18 +333,31 @@ class TestMlp:
         b = net.forward_np(x)
         assert a.tobytes() == b.tobytes()
 
-    def test_mlp_gradient_check(self):
+    @staticmethod
+    def gradient_checks(fd):
+        """(analytic, finite-difference) pairs of mean(net(x)^2) in a tracked
+        x and every parameter, for both activations and three seeds; fd(fn)
+        runs the differences."""
         for activation, seed in itertools.product(("swish", "tanh"), (0, 1, 2)):
             net = Mlp(MlpSpec((3, 5, 4, 2), activation=activation), seed=seed)
             x0 = np.random.default_rng(seed + 10).normal(size=(4, 3))
             x = ad.parameter(x0)
             out = net.forward(x)
             ad.backward(ad.mean_all(ad.mul(out, out)))
-            checks = [(x.grad, fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))]
-            checks += [(p.grad, param_fd_grad(net, x0, p)) for p in net.params]
-            for analytic, numeric in checks:
-                denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-                assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+            yield x.grad, fd(lambda: fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))
+            for p in net.params:
+                yield p.grad, fd(lambda: param_fd_grad(net, x0, p))
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_mlp_gradient_check(self):
+        for analytic, numeric in self.gradient_checks(lambda fn: fn()):
+            denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+            assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+
+    def test_mlp_gradient_check_float32(self, monkeypatch):
+        for analytic, numeric in self.gradient_checks(lambda fn: in_float64(monkeypatch, fn)):
+            assert analytic.dtype == np.float64
+            assert_within_largest(analytic, numeric, F32_GRAD_TOL)
 
     def test_shape_mismatch(self):
         net = Mlp(MlpSpec((3, 4, 2)))

@@ -38,3 +38,14 @@ def test_rejoining_a_collection_copies_no_split():
     ds = env.collect_dataset(60, seed=3)
     peak = traced_peak(lambda: ds.train + ds.val + ds.test)
     assert peak < min(s.obs.nbytes for s in (ds.train, ds.val, ds.test))
+
+
+def test_encode_checks_finiteness_without_an_x_sized_temporary():
+    # A one-dim latent behind a two-unit layer keeps the forward's arrays
+    # far below x.size bytes, the size of np.isfinite(x) (1.6 MB on 6 300
+    # rows), so the peak shows the finiteness check.
+    model = qvae.build_qvae(CLASSES, 1, PAPER_QPARAMS, encoder_hidden=(2,),
+                            decoder_hidden=[(2,), (2,)])
+    x = np.random.default_rng(0).uniform(size=(6300, env.OBS_DIM))
+    peak = traced_peak(lambda: model.encode(x))
+    assert peak < x.size // 4

@@ -1,6 +1,7 @@
 """Deformed-VAE objective: straight-line single-sample oracle, exact q = 1
 reduction to the (beta-)VAE, bracket non-negativity, gradient checks, and
-training-loop contracts."""
+training-loop contracts. The loss's float64 oracle checks run with the graph
+in float64 (the float64_graph fixture), and each has a float32 twin."""
 
 import json
 
@@ -26,7 +27,7 @@ from minreal.qvae import (
     train_qvae,
 )
 from minreal.tsallis import QParams, q_log
-from test_autodiff import fd_grad
+from test_autodiff import F32_GRAD_TOL, F32_RTOL, assert_within_largest, fd_grad, in_float64
 
 TINY_CLASSES = (
     ObservationClass("proprio", "diag_gaussian", 2),
@@ -132,8 +133,10 @@ def straight_line_loss(model, x, noise, qp, max_exponent=50.0):
     return -float(np.mean(obj))
 
 
-def assert_loss_gradient_matches_fd(model, x, noise):
-    """Every parameter's gradient of qvae_loss against central differences."""
+def assert_loss_gradient_matches_fd(model, x, noise, monkeypatch=None):
+    """Every parameter's gradient of qvae_loss against central differences.
+    With monkeypatch, the float32 twin: the differences run on the float64
+    graph and each gradient is held to them by assert_within_largest."""
     loss, _ = qvae_loss(model, x, noise)
     ad.zero_grads(model.parameters())
     ad.backward(loss)
@@ -147,9 +150,13 @@ def assert_loss_gradient_matches_fd(model, x, noise):
             p.data = old
             return float(v.data)
 
-        numeric = fd_grad(f, p.data.copy())
-        denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
-        assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+        if monkeypatch is None:
+            numeric = fd_grad(f, p.data.copy())
+            denom = np.maximum(np.abs(analytic) + np.abs(numeric), 1e-6)
+            assert np.max(np.abs(analytic - numeric) / denom) <= 1e-4
+        else:
+            numeric = in_float64(monkeypatch, lambda: fd_grad(f, p.data.copy()))
+            assert_within_largest(analytic, numeric, F32_GRAD_TOL)
 
 
 class TestEncodeDecode:
@@ -185,6 +192,15 @@ class TestEncodeDecode:
         model = tiny_model(seed=3)
         x, _ = tiny_batch(model, 4, seed=1)
         x[2, col] = bad
+        with pytest.raises(ValueError, match="non-finite values in x"):
+            model.encode(x)
+
+    @pytest.mark.parametrize("row", [RECON_BLOCK_ROWS - 1, RECON_BLOCK_ROWS,
+                                     2 * RECON_BLOCK_ROWS])
+    def test_encode_checks_every_block_of_rows(self, row):
+        model = tiny_model(seed=3)
+        x, _ = tiny_batch(model, 2 * RECON_BLOCK_ROWS + 1, seed=1)
+        x[row, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite values in x"):
             model.encode(x)
 
@@ -228,27 +244,40 @@ class TestEncodeDecode:
 
 
 class TestLoss:
-    def test_matches_straight_line_oracle_single_datum(self):
-        model = tiny_model(seed=7)
-        x, noise = tiny_batch(model, 1, seed=4)
-        loss, bd = qvae_loss(model, x, noise)
-        oracle = straight_line_loss(model, x, noise, model.qparams)
-        assert float(loss.data) == pytest.approx(oracle, abs=1e-10)
+    # (model seed, data seed, rows) of one datum and of three batches
+    SINGLE_DATUM = [(7, 4, 1)]
+    BATCHES = [(seed, seed + 10, 9) for seed in (0, 1, 2)]
 
-    def test_matches_straight_line_oracle_batch(self):
-        for seed in (0, 1, 2):
-            model = tiny_model(seed=seed)
-            x, noise = tiny_batch(model, 9, seed=seed + 10)
+    @staticmethod
+    def losses_and_oracles(cases):
+        for model_seed, data_seed, rows in cases:
+            model = tiny_model(seed=model_seed)
+            x, noise = tiny_batch(model, rows, seed=data_seed)
             loss, _ = qvae_loss(model, x, noise)
-            oracle = straight_line_loss(model, x, noise, model.qparams)
-            assert float(loss.data) == pytest.approx(oracle, abs=1e-10)
+            yield float(loss.data), straight_line_loss(model, x, noise, model.qparams)
 
-    def test_q1_equals_weighted_elbo(self):
+    @pytest.mark.usefixtures("float64_graph")
+    def test_matches_straight_line_oracle_single_datum(self):
+        for loss, oracle in self.losses_and_oracles(self.SINGLE_DATUM):
+            assert loss == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_matches_straight_line_oracle_batch(self):
+        for loss, oracle in self.losses_and_oracles(self.BATCHES):
+            assert loss == pytest.approx(oracle, abs=1e-10)
+
+    def test_matches_straight_line_oracle_float32(self):
+        for loss, oracle in self.losses_and_oracles(self.SINGLE_DATUM + self.BATCHES):
+            assert loss == pytest.approx(oracle, rel=F32_RTOL)
+
+    @staticmethod
+    def loss_and_neg_elbo():
+        """qvae_loss at q = 1 and an independent negative ELBO: recon NLL
+        plus a Monte-Carlo KL."""
         model = tiny_model(qparams=QP_VAE, seed=8)
         x, noise = tiny_batch(model, 7, seed=5)
         loss, _ = qvae_loss(model, x, noise)
 
-        # independent negative ELBO: recon NLL + Monte-Carlo KL
         belief = model.encode(x)
         mu, ls = belief.mean, belief.log_std
         z = mu + np.exp(ls) * noise
@@ -263,8 +292,16 @@ class TestLoss:
         zx = (z - mu) / np.exp(ls)
         log_pzx = np.sum(-0.5 * zx**2 - ls - 0.5 * np.log(2 * np.pi), axis=1)
         log_pz = np.sum(-0.5 * z**2 - 0.5 * np.log(2 * np.pi), axis=1)
-        neg_elbo = -np.mean(lp1 + lp2 - (log_pzx - log_pz))
-        assert float(loss.data) == pytest.approx(neg_elbo, abs=1e-10)
+        return float(loss.data), -np.mean(lp1 + lp2 - (log_pzx - log_pz))
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_q1_equals_weighted_elbo(self):
+        loss, neg_elbo = self.loss_and_neg_elbo()
+        assert loss == pytest.approx(neg_elbo, abs=1e-10)
+
+    def test_q1_equals_weighted_elbo_float32(self):
+        loss, neg_elbo = self.loss_and_neg_elbo()
+        assert loss == pytest.approx(neg_elbo, rel=F32_RTOL)
 
     def test_q_near_1_close_to_q1(self):
         qp_near = QParams(
@@ -338,7 +375,8 @@ class TestLoss:
         with pytest.raises(ValueError):
             qvae_loss(model, np.zeros((0, model.obs_dim)), np.zeros((0, 3)))
 
-    def test_gradient_finite_difference(self):
+    @staticmethod
+    def gradient_cases():
         # |Z| = 3 with an 8-pixel image class, per the downsized contract.
         classes = (
             ObservationClass("proprio", "diag_gaussian", 2),
@@ -353,8 +391,16 @@ class TestLoss:
             x = np.hstack(
                 [rng.normal(0, 0.5, (4, 2)), rng.uniform(0, 1, (4, 8))]
             )
-            noise = rng.standard_normal((4, 3))
+            yield model, x, rng.standard_normal((4, 3))
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_gradient_finite_difference(self):
+        for model, x, noise in self.gradient_cases():
             assert_loss_gradient_matches_fd(model, x, noise)
+
+    def test_gradient_finite_difference_float32(self, monkeypatch):
+        for model, x, noise in self.gradient_cases():
+            assert_loss_gradient_matches_fd(model, x, noise, monkeypatch)
 
 
 class TestQLogPath:
@@ -435,21 +481,38 @@ class TestDeformedChain:
         x = np.hstack([rng.normal(0, 0.5, (n, 5)), rng.uniform(0, 1, (n, 4))])
         return x, rng.standard_normal((n, 3))
 
-    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
-    def test_three_classes_match_straight_line_oracle(self, qparams):
+    def three_class_losses(self, qparams):
+        """(loss, oracle) of three models, checking the per-class breakdown."""
         for seed in (0, 1, 2):
             model = self.three_class_model(qparams, seed)
             x, noise = self.three_class_batch(9, seed + 20)
             loss, bd = qvae_loss(model, x, noise)
-            assert float(loss.data) == pytest.approx(
-                straight_line_loss(model, x, noise, qparams), abs=1e-10)
             assert len(bd.recon_per_class) == 3
+            yield float(loss.data), straight_line_loss(model, x, noise, qparams)
 
+    @pytest.mark.usefixtures("float64_graph")
+    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
+    def test_three_classes_match_straight_line_oracle(self, qparams):
+        for loss, oracle in self.three_class_losses(qparams):
+            assert loss == pytest.approx(oracle, abs=1e-10)
+
+    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
+    def test_three_classes_match_straight_line_oracle_float32(self, qparams):
+        for loss, oracle in self.three_class_losses(qparams):
+            assert loss == pytest.approx(oracle, rel=F32_RTOL)
+
+    @pytest.mark.usefixtures("float64_graph")
     @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
     def test_three_classes_gradient_finite_difference(self, qparams):
         model = self.three_class_model(qparams, 3)
         x, noise = self.three_class_batch(4, 30)
         assert_loss_gradient_matches_fd(model, x, noise)
+
+    @pytest.mark.parametrize("qparams", [QP_THREE, QP_THREE_VAE])
+    def test_three_classes_gradient_finite_difference_float32(self, qparams, monkeypatch):
+        model = self.three_class_model(qparams, 3)
+        x, noise = self.three_class_batch(4, 30)
+        assert_loss_gradient_matches_fd(model, x, noise, monkeypatch)
 
     @pytest.mark.parametrize("qparams", [QP_TABLE, QP_STRICT, QP_THREE])
     def test_slope_in_log_prior_is_the_bracket(self, qparams):
@@ -549,13 +612,24 @@ class TestBracket:
         np.testing.assert_allclose(vals, first, rtol=1e-10)
         assert np.all(vals >= 0)
 
-    def test_min_matches_loss_bracket_min(self):
+    @staticmethod
+    def bracket_mins():
+        """bracket_term's minimum at the loss's latents, and the loss's."""
         model = tiny_model(seed=14)
         x, noise = tiny_batch(model, 6, seed=9)
         belief = model.encode(x)
         z = belief.mean + np.exp(belief.log_std) * noise
         _, bd = qvae_loss(model, x, noise)
-        assert bracket_term(model, x, z).min() == pytest.approx(bd.bracket_min, rel=1e-12)
+        return bracket_term(model, x, z).min(), bd.bracket_min
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_min_matches_loss_bracket_min(self):
+        tape_free, loss = self.bracket_mins()
+        assert tape_free == pytest.approx(loss, rel=1e-12)
+
+    def test_min_matches_loss_bracket_min_float32(self):
+        tape_free, loss = self.bracket_mins()
+        assert tape_free == pytest.approx(loss, rel=F32_RTOL)
 
     def test_strict_chain_floor_at_vanishing_likelihood(self):
         qp = QParams(q=0.9, class_qs=(0.95, 0.999), class_weights=(10.0, 1.0),

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,7 @@ from minreal.world import (
     train_world,
     wm_loss,
 )
+from test_autodiff import F32_RTOL
 from test_env import make_state
 from minreal import env
 
@@ -196,7 +198,8 @@ class TestWmLoss:
         assert dyn_nll == pytest.approx(0.9189385332046727, abs=1e-12)
         assert rew_nll == pytest.approx(0.9189385332046727, abs=1e-12)
 
-    def test_doubling_sigma_adds_log2(self):
+    @staticmethod
+    def doubled_sigma_nlls():
         base = constant_world_model(mean_bias=0.7, r_bias=-0.3)
         wide = constant_world_model(mean_bias=0.7, ls_bias=np.log(2.0), r_bias=-0.3)
         ds = WorldDataset(
@@ -207,12 +210,22 @@ class TestWmLoss:
         )
         _, (d0, _) = wm_loss(base, ds)
         _, (d1, _) = wm_loss(wide, ds)
+        return d0, d1
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_doubling_sigma_adds_log2(self):
+        d0, d1 = self.doubled_sigma_nlls()
         assert d1 - d0 == pytest.approx(np.log(2.0), abs=1e-12)
 
-    def test_log_std_heads_clamped(self):
-        # log-std biases beyond the clamp score as the bracket's ends, 2.0 and
-        # -6.0: at the mean the NLL is log sigma + log(2 pi) / 2, on the graph
-        # and the tape-free path alike, and neither bias gets a gradient.
+    def test_doubling_sigma_adds_log2_float32(self):
+        d0, d1 = self.doubled_sigma_nlls()
+        assert d1 - d0 == pytest.approx(np.log(2.0), rel=F32_RTOL)
+
+    @staticmethod
+    def clamped_head_nlls():
+        """(dynamics, reward) NLLs on the graph and on the tape-free path of
+        a model whose log-std biases lie beyond the clamp, 5.0 and -10.0;
+        neither bias gets a gradient."""
         model = constant_world_model(mean_bias=0.7, ls_bias=5.0, r_bias=-0.3,
                                      r_ls_bias=-10.0)
         ds = WorldDataset(
@@ -221,24 +234,42 @@ class TestWmLoss:
             next_states=np.full((4, 1), 0.7),
             rewards=np.full(4, -0.3),
         )
-        half_log_2pi = 0.5 * np.log(2.0 * np.pi)
-        loss, (dyn_nll, rew_nll) = wm_loss(model, ds)
+        loss, graph = wm_loss(model, ds)
         _, dyn, rew = heldout_nll(model, ds)
-        for d, r in ((dyn_nll, rew_nll), (dyn, rew)):
-            assert d == pytest.approx(2.0 + half_log_2pi, abs=1e-12)
-            assert r == pytest.approx(-6.0 + half_log_2pi, abs=1e-12)
         ad.backward(loss)
         assert model.dynamics.params[-1].grad[1] == 0.0
         assert model.reward.params[-1].grad[1] == 0.0
+        return graph, (dyn, rew)
 
-    def test_matches_tape_free_oracle(self):
+    # The clamped biases score as the bracket's ends, 2.0 and -6.0: at the
+    # mean the NLL is log sigma + log(2 pi) / 2.
+    CLAMPED_NLLS = (2.0 + 0.5 * np.log(2.0 * np.pi), -6.0 + 0.5 * np.log(2.0 * np.pi))
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_log_std_heads_clamped(self):
+        for nlls in self.clamped_head_nlls():
+            assert nlls == pytest.approx(self.CLAMPED_NLLS, abs=1e-12)
+
+    def test_log_std_heads_clamped_float32(self):
+        graph, tape_free = self.clamped_head_nlls()
+        assert graph == pytest.approx(self.CLAMPED_NLLS, rel=F32_RTOL)
+        assert tape_free == pytest.approx(self.CLAMPED_NLLS, abs=1e-12)
+
+    @staticmethod
+    def loss_and_heldout_nll():
         model = build_world_model(3, 2, seed=4)
         ds = make_dataset(n=16, sd=3, ad_=2, seed=5)
         loss, (dyn_nll, rew_nll) = wm_loss(model, ds)
-        total, dyn, rew = heldout_nll(model, ds)
-        assert float(loss.data) == pytest.approx(total, rel=1e-12)
-        assert dyn_nll == pytest.approx(dyn, rel=1e-12)
-        assert rew_nll == pytest.approx(rew, rel=1e-12)
+        return (float(loss.data), dyn_nll, rew_nll), heldout_nll(model, ds)
+
+    @pytest.mark.usefixtures("float64_graph")
+    def test_matches_tape_free_oracle(self):
+        graph, tape_free = self.loss_and_heldout_nll()
+        assert graph == pytest.approx(tape_free, rel=1e-12)
+
+    def test_matches_tape_free_oracle_float32(self):
+        graph, tape_free = self.loss_and_heldout_nll()
+        assert graph == pytest.approx(tape_free, rel=F32_RTOL)
 
     def test_empty_batch_rejected(self):
         model = build_world_model(2, 2, seed=0)
@@ -361,6 +392,57 @@ def assert_bitwise_equal_to_sequential_blocks(state_dim, k):
         assert scores.tobytes() == expected.tobytes()
         if k:
             assert np.isneginf(scores[-1]) and np.all(np.isfinite(scores[:-1]))
+
+
+class DiesWhenPushed:
+    """A world model whose next state is +inf in each row whose action's
+    first component exceeds 0.9. With strict, a non-finite state reaching
+    its nets fails the call."""
+
+    def __init__(self, model, strict=True):
+        self.model = model
+        self.strict = strict
+
+    def dynamics_mean(self, s, a):
+        out = self.model.dynamics_mean(self._checked(s), a)
+        out[a[:, 0] > 0.9] = np.inf
+        return out
+
+    def reward_mean(self, s, a):
+        return self.model.reward_mean(self._checked(s), a)
+
+    def _checked(self, s):
+        assert not self.strict or np.isfinite(s).all(), "a dead state reached the nets"
+        return s
+
+
+class TestDeadCandidates:
+    """Candidates whose state turned non-finite score -inf, and their rows
+    get a finite state, so no inf or NaN goes through the nets (which warns
+    'invalid value encountered in matmul') for the rest of the horizon."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("k", [pytest.param(1000, id="one_block"),
+                                   pytest.param(10_000, id="pool_blocks")])
+    def test_dead_rows_feed_no_inf_to_the_nets(self, monkeypatch, k, dtype):
+        monkeypatch.setattr(world, "ROLLOUT_WORKERS", max(2, ROLLOUT_WORKERS))
+        model = build_world_model(5, 2, seed=7)
+        rng = np.random.default_rng(8)
+        s0 = rng.normal(scale=0.3, size=5)
+        cands = rng.uniform(-1.0, 1.0, size=(k, 6, 2)).astype(dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            scores = rollout_batch(DiesWhenPushed(model), s0, cands)
+        # The last action's next state is never computed.
+        dead = np.any(cands[:, :-1, 0] > 0.9, axis=1)
+        assert 0 < dead.sum() < k
+        assert np.all(np.isneginf(scores[dead]))
+        # The live rows as scored while dead rows still ran on non-finite
+        # states.
+        with np.errstate(all="ignore"):
+            expected = sequential_rollout_batch(DiesWhenPushed(model, strict=False), s0, cands)
+        assert np.all(np.isneginf(expected[dead]))
+        assert scores[~dead].tobytes() == expected[~dead].tobytes()
 
 
 class TestParallelRollout:
