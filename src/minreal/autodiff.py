@@ -4,9 +4,10 @@ A Tensor wraps an ndarray plus an optional gradient slot; every op below
 records a closure that maps the upstream gradient to per-input gradients.
 make() builds every node. nets and qvae build their fused nodes with it too:
 one per network (Mlp.forward), one per likelihood head (gaussian_log_prob_t,
-cb_log_prob_t) and one per deformed chain (qvae._deformed_sum_t), each with a
-hand-written backward, so the ops here are only the few that the heads and
-losses still chain.
+cb_log_prob_t), one per reparameterized sample (reparam_sample) and one per
+deformed chain (qvae._deformed_sum_t), each with a hand-written backward
+from its net's raw output. The ops here are only the add, mean and
+negation that finish the losses.
 backward() walks the recorded graph once from a scalar loss; calling it
 again on the same loss without rebuilding the graph is an error.
 
@@ -80,38 +81,9 @@ def add(a, b):
     return make(a.data + b.data, (a, b), lambda g: (g, g))
 
 
-def mul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    return make(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data))
-
-
 def neg(a):
     a = as_tensor(a)
     return make(-a.data, (a,), lambda g: (-g,))
-
-
-def exp(a):
-    a = as_tensor(a)
-    out = np.exp(a.data)
-    return make(out, (a,), lambda g: (g * out,))
-
-
-def clip(a, lo, hi):
-    """Clamp; gradient passes through inside [lo, hi] and is zero outside."""
-    a = as_tensor(a)
-    mask = (a.data >= lo) & (a.data <= hi)
-    return make(np.clip(a.data, lo, hi), (a,), lambda g: (g * mask,))
-
-
-def slice_cols(a, start, stop):
-    a = as_tensor(a)
-
-    def backward_fn(g):
-        full = np.zeros_like(a.data)
-        full[:, start:stop] = g
-        return (full,)
-
-    return make(a.data[:, start:stop], (a,), backward_fn)
 
 
 def mean_all(a):

@@ -15,7 +15,9 @@ DEFAULT_IMPORTANCE_THRESHOLD = 0.15
 
 @dataclasses.dataclass(frozen=True)
 class LatentMask:
-    """Boolean keep/drop vector over latent dimensions."""
+    """Boolean keep/drop vector over latent dimensions. A negative or NaN
+    threshold_used, a non-finite importance or a mask that keeps nothing is
+    a ValueError."""
 
     keep: np.ndarray
     threshold_used: float
@@ -31,6 +33,8 @@ class LatentMask:
             raise ValueError(f"non-finite importance {importance}")
         if not keep.any():
             raise ValueError("a mask must keep at least one dimension")
+        if not self.threshold_used >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold_used}")
         object.__setattr__(self, "keep", keep)
         object.__setattr__(self, "importance", importance)
 
@@ -89,8 +93,6 @@ def build_mask(importance, threshold) -> LatentMask:
     survive, keep the single most important dimension and flag it. A
     negative or NaN threshold or a non-finite importance is a ValueError."""
     importance = np.asarray(importance, dtype=np.float64)
-    if not threshold >= 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
     keep = importance > threshold
     fallback = False
     if not keep.any():
@@ -126,15 +128,18 @@ def load_mask(path) -> LatentMask:
     """Raises MissingArtifact if the file is absent and a ValueError naming
     it if it is not a well-formed mask file (see nets.load_checkpoint), if
     its arrays have other names or shapes or hold a non-finite value, if a
-    keep flag is not 0 or 1 or none is 1, or if the threshold is not a
-    number or the fallback flag not a boolean."""
+    keep flag is not 0 or 1, if the fallback flag is not a boolean, or if
+    the threshold is not a number or LatentMask rejects the mask."""
     header, arrays = load_checkpoint(path, "mask")
     keep, importance = check_arrays(path, arrays, {"keep": ("d",), "importance": ("d",)})
     threshold, fallback = header.get("threshold_used"), header.get("fallback_used")
     if type(threshold) not in (int, float) or type(fallback) is not bool:
         raise ValueError(f"{path}: bad threshold_used {threshold!r} or "
                          f"fallback_used {fallback!r}")
-    if not np.isin(keep, (0.0, 1.0)).all() or not keep.any():
-        raise ValueError(f"{path}: keep flags must be 0 or 1, at least one 1")
-    return LatentMask(keep=keep == 1.0, threshold_used=float(threshold),
-                      importance=importance, fallback_used=fallback)
+    if not np.isin(keep, (0.0, 1.0)).all():
+        raise ValueError(f"{path}: keep flags must be 0 or 1")
+    try:
+        return LatentMask(keep=keep == 1.0, threshold_used=float(threshold),
+                          importance=importance, fallback_used=fallback)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

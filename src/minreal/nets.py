@@ -3,12 +3,13 @@
 continuous-Bernoulli log-likelihoods, reparameterized sampling, and the
 artifact container that every saved model, dataset and mask uses.
 
-The Gaussian head split (gaussian_head_t) has one implementation, built
-from autodiff ops. Each log-likelihood (gaussian_log_prob_t, and
-cb_log_prob_t from the decoder's raw logits) is one autodiff node with a
-closed-form gradient. On plain arrays (forward_np output) none of them
-records a tape, so inference and evaluation run the same head and density
-code as the losses and read .data.
+The Gaussian head split and its log-std clamp (gaussian_head) is one
+plain-numpy function, which inference and the Gaussian nodes share. Each
+log-likelihood (gaussian_log_prob_t and cb_log_prob_t) and the
+reparameterized sample (reparam_sample) is one autodiff node over its net's
+raw output, with a closed-form gradient. On plain arrays (forward_np output)
+none of them records a tape, so inference and evaluation run the same head
+and density code as the losses and read .data.
 
 Every hidden layer is dense, then the activation (swish or tanh), then layer
 normalization without an affine part. Mlp._layers is the one layer loop.
@@ -336,46 +337,58 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
     return records
 
 
-def gaussian_head_t(raw, width):
-    """(mean, log_std) tensors of a diagonal-Gaussian head from its net's raw
+def gaussian_head(raw, width):
+    """(mean, log_std) arrays of a diagonal-Gaussian head from its net's raw
     output (B, 2 * width): the first width columns are the mean, the next
-    width the log-std, clamped to [LOG_STD_MIN, LOG_STD_MAX]."""
-    log_std = ad.clip(ad.slice_cols(raw, width, 2 * width), LOG_STD_MIN, LOG_STD_MAX)
-    return ad.slice_cols(raw, 0, width), log_std
+    width the log-std, clamped to [LOG_STD_MIN, LOG_STD_MAX]. Any other raw
+    shape is a ValueError."""
+    if raw.ndim != 2 or raw.shape[1] != 2 * width:
+        raise ValueError(f"expected a raw head output (batch, {2 * width}), got {raw.shape}")
+    return raw[:, :width], np.clip(raw[:, width:], LOG_STD_MIN, LOG_STD_MAX)
 
 
-def gaussian_log_prob_t(mean, log_std, x) -> ad.Tensor:
-    """Per-row log density of a diagonal Gaussian, shape (B,), as one node.
-    With z = (x - mean) / std and g the upstream gradient, the gradients are
-    g z / std for the mean, g (z^2 - 1) for log_std and -g z / std for x; an
-    input broadcast to the batch, such as a (1, |Z|) prior, is summed back
-    to its shape by autodiff.backward."""
-    mean, log_std, x = ad.as_tensor(mean), ad.as_tensor(log_std), ad.as_tensor(x)
-    if x.data.shape[-1] != mean.data.shape[-1]:
-        raise ValueError("dimension mismatch in gaussian_log_prob_t")
-    inv_std = np.exp(-log_std.data)
-    z = (x.data - mean.data) * inv_std
-    per_dim = (z * z) * -0.5 - log_std.data
+def _head_grad(raw, log_std, g_mean, g_log_std):
+    """The gradient at a head's raw output from those at its mean and
+    clamped log-std: zero where the clamp cut, so the log-std columns pass
+    g_log_std only where the clamp left raw as it was."""
+    inside = log_std == raw[:, log_std.shape[1]:]
+    return np.concatenate((g_mean, g_log_std * inside), axis=1)
+
+
+def gaussian_log_prob_t(raw, x) -> ad.Tensor:
+    """Per-row log density of the diagonal Gaussian gaussian_head(raw, W) at
+    x (B, W), shape (B,), as one node over raw and x. With z = (x - mean) /
+    std and g the upstream gradient, the gradients are g z / std for the
+    mean, g (z^2 - 1) for the clamped log-std (see _head_grad) and -g z / std
+    for x; a raw broadcast to the batch, such as the (1, 2|Z|) prior, is
+    summed back to its shape by autodiff.backward."""
+    raw, x = ad.as_tensor(raw), ad.as_tensor(x)
+    mean, log_std = gaussian_head(raw.data, x.data.shape[-1])
+    inv_std = np.exp(-log_std)
+    z = (x.data - mean) * inv_std
+    per_dim = (z * z) * -0.5 - log_std
     total = per_dim.sum(axis=1) + -x.data.shape[-1] * _HALF_LOG_2PI
 
     def backward_fn(g):
         g = g[:, None]
         g_mean = g * z * inv_std
-        return g_mean, g * (z * z - 1.0), -g_mean
+        return _head_grad(raw.data, log_std, g_mean, g * (z * z - 1.0)), -g_mean
 
-    return ad.make(total, (mean, log_std, x), backward_fn)
+    return ad.make(total, (raw, x), backward_fn)
 
 
-def reparam_sample(mean, log_std, noise) -> ad.Tensor:
-    """mean + exp(log_std) * noise; gradients flow to mean and log_std."""
-    mean = ad.as_tensor(mean)
-    log_std = ad.as_tensor(log_std)
+def reparam_sample(raw, noise) -> ad.Tensor:
+    """mean + exp(log_std) * noise for the head gaussian_head(raw, W) and
+    noise (B, W), as one node over raw (B, 2W): the gradient is g for the
+    mean and (g noise) exp(log_std) for the clamped log-std."""
+    raw = ad.as_tensor(raw)
     noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != mean.data.shape:
-        raise ValueError(
-            f"noise shape {noise.shape} != mean shape {mean.data.shape}"
-        )
-    return ad.add(mean, ad.mul(ad.exp(log_std), noise))
+    mean, log_std = gaussian_head(raw.data, noise.shape[-1])
+    if noise.shape != mean.shape:
+        raise ValueError(f"noise shape {noise.shape} != mean shape {mean.shape}")
+    std = np.exp(log_std)
+    return ad.make(mean + std * noise, (raw,),
+                   lambda g: (_head_grad(raw.data, log_std, g, (g * noise) * std),))
 
 
 # --- continuous Bernoulli -------------------------------------------------

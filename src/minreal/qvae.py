@@ -30,7 +30,7 @@ from .nets import (
     MlpSpec,
     cb_log_prob_t,
     fit,
-    gaussian_head_t,
+    gaussian_head,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -54,6 +54,12 @@ class ObservationClass:
             raise ConfigError(f"unknown observation class kind {self.kind!r}")
         if self.width < 1:
             raise ConfigError(f"class width must be positive, got {self.width}")
+
+    @property
+    def raw_width(self):
+        """Width of its decoder's raw output: mean and log-std for a
+        Gaussian class, one logit per value for a continuous-Bernoulli one."""
+        return 2 * self.width if self.kind == "diag_gaussian" else self.width
 
 
 def validate_classes(classes):
@@ -104,11 +110,9 @@ class QvaeModel:
                 f"encoder output {encoder.spec.out_dim} != 2*|Z| = {2 * self.latent_dim}"
             )
         for cls, dec in zip(self.classes, self.decoders):
-            want = 2 * cls.width if cls.kind == "diag_gaussian" else cls.width
-            if dec.spec.out_dim != want:
-                raise ConfigError(
-                    f"decoder for {cls.name!r} outputs {dec.spec.out_dim}, expected {want}"
-                )
+            if dec.spec.out_dim != cls.raw_width:
+                raise ConfigError(f"decoder for {cls.name!r} outputs {dec.spec.out_dim}, "
+                                  f"expected {cls.raw_width}")
             if dec.spec.in_dim != self.latent_dim:
                 raise ConfigError(f"decoder for {cls.name!r} does not take |Z| inputs")
 
@@ -143,8 +147,8 @@ class QvaeModel:
         for start in range(0, x.shape[0], RECON_BLOCK_ROWS):
             if not np.isfinite(x[start : start + RECON_BLOCK_ROWS]).all():
                 raise ValueError("non-finite values in x")
-        mean, log_std = gaussian_head_t(self.encoder.forward_np(x), self.latent_dim)
-        return DiagGaussian(mean=mean.data, log_std=log_std.data)
+        mean, log_std = gaussian_head(self.encoder.forward_np(x), self.latent_dim)
+        return DiagGaussian(mean=mean, log_std=log_std)
 
     def decode(self, z):
         """Per-class decoder parameters at latent z: (mean, log_std) for
@@ -158,8 +162,7 @@ class QvaeModel:
         for cls, dec in zip(self.classes, self.decoders):
             raw = dec.forward_np(z)
             if cls.kind == "diag_gaussian":
-                mean, log_std = gaussian_head_t(raw, cls.width)
-                out.append((mean.data, log_std.data))
+                out.append(gaussian_head(raw, cls.width))
             else:
                 # The sigmoid runs in place in raw, a fresh forward_np output,
                 # so the sigmoid allocates no image-sized temporaries.
@@ -187,9 +190,8 @@ class QvaeModel:
     def _class_log_prob(self, index, raw, x_block):
         """Per-row log p(x_c|z) tensor of class `index` from its decoder's raw
         output at z: a graph output in the loss, forward_np's in bracket_term."""
-        cls = self.classes[index]
-        if cls.kind == "diag_gaussian":
-            return gaussian_log_prob_t(*gaussian_head_t(raw, cls.width), x_block)
+        if self.classes[index].kind == "diag_gaussian":
+            return gaussian_log_prob_t(raw, x_block)
         return cb_log_prob_t(raw, x_block)
 
 
@@ -306,15 +308,13 @@ def qvae_loss(model: QvaeModel, x, noise):
     x, blocks = model.split_observation(x)
     if x.shape[0] == 0:
         raise ValueError("batch must be nonempty")
-    noise = np.asarray(noise, dtype=np.float64)
 
-    mean_t, log_std_t = gaussian_head_t(model.encoder.forward(x), model.latent_dim)
-    z_t = reparam_sample(mean_t, log_std_t, noise)
+    raw_t = model.encoder.forward(x)
+    z_t = reparam_sample(raw_t, noise)
 
-    log_pz = gaussian_log_prob_t(
-        np.zeros((1, model.latent_dim)), np.zeros((1, model.latent_dim)), z_t
-    )
-    log_pzx = gaussian_log_prob_t(mean_t, log_std_t, z_t)
+    # The standard normal prior: mean 0 and log-std 0 in raw head form.
+    log_pz = gaussian_log_prob_t(np.zeros((1, 2 * model.latent_dim)), z_t)
+    log_pzx = gaussian_log_prob_t(raw_t, z_t)
     log_pcs = [model._class_log_prob(i, dec.forward(z_t), blocks[i])
                for i, dec in enumerate(model.decoders)]
 
@@ -438,10 +438,8 @@ def build_qvae(
         decoder_hidden = [tuple(reversed(encoder_hidden))] * len(classes)
     seeds = np.random.SeedSequence(seed).spawn(1 + len(classes))
     encoder = Mlp(MlpSpec((obs_dim, *encoder_hidden, 2 * latent_dim)), seed=seeds[0])
-    decoders = []
-    for cls, hidden, ss in zip(classes, decoder_hidden, seeds[1:]):
-        out = 2 * cls.width if cls.kind == "diag_gaussian" else cls.width
-        decoders.append(Mlp(MlpSpec((latent_dim, *hidden, out)), seed=ss))
+    decoders = [Mlp(MlpSpec((latent_dim, *hidden, cls.raw_width)), seed=ss)
+                for cls, hidden, ss in zip(classes, decoder_hidden, seeds[1:])]
     return QvaeModel(classes, latent_dim, encoder, decoders, qparams)
 
 

@@ -1,7 +1,7 @@
 """The q-deformed logarithm, the diagonal-Gaussian belief that encoding
 returns, the hyperparameters of the deformed objective, and the condition on
 them that keeps the sparsifying reconstruction bracket non-negative. The
-Gaussian head with its log-std clamp (gaussian_head_t) and the Gaussian
+Gaussian head with its log-std clamp (gaussian_head) and the Gaussian
 log-density (gaussian_log_prob_t) live in nets, for training and inference
 alike.
 
@@ -40,7 +40,7 @@ class DiagGaussian:
     """Diagonal Gaussian given by mean and log standard deviation, both
     finite. Arrays may be vectors or batches; mean and log_std must share a
     shape. log_std is taken as given: QvaeModel.encode's head has already
-    clamped it (nets.gaussian_head_t)."""
+    clamped it (nets.gaussian_head)."""
 
     mean: np.ndarray
     log_std: np.ndarray

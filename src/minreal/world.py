@@ -4,7 +4,9 @@ deterministic mean-propagation rollouts for planning.
 
 The training loss and the held-out NLL read the heads through one function,
 _log_probs: the loss on the graph outputs of Mlp.forward, the held-out NLL
-tape-free on those of Mlp.forward_np.
+tape-free on those of Mlp.forward_np. It passes each net's raw output
+straight to nets.gaussian_log_prob_t, whose head split and log-std clamp
+are nets.gaussian_head's.
 
 rollout() accepts anything exposing dynamics_mean(s, a) and reward_mean(s, a)
 over batched arrays, so analytic test models plug in directly. Both rollouts
@@ -57,7 +59,6 @@ from .nets import (
     check_arrays,
     fit,
     float_dtype,
-    gaussian_head_t,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -167,6 +168,10 @@ class WorldDataset:
     rewards: np.ndarray  # (N,)
 
     def __post_init__(self):
+        for name, dims in _DATASET_SHAPES.items():
+            shape = getattr(self, name).shape
+            if len(shape) != len(dims):
+                raise ValueError(f"{name} must be {len(dims)}-D, got shape {shape}")
         n = self.states.shape[0]
         if not (self.actions.shape[0] == self.next_states.shape[0] == self.rewards.shape[0] == n):
             raise ValueError("inconsistent record counts")
@@ -202,14 +207,12 @@ def encode_dataset(vae, mask, episodes) -> WorldDataset:
                         next_states=rows(z[:, 1:]), rewards=rows(episodes.reward))
 
 
-def _log_probs(model: WorldModel, dyn_out, rew_out, ds: WorldDataset):
+def _log_probs(dyn_out, rew_out, ds: WorldDataset):
     """Per-row log p(s'|s,a) and log p(r|s,a) over ds, as tensors, from the
     dynamics and reward nets' raw outputs (Gaussian heads, see
-    nets.gaussian_head_t)."""
-    dyn_lp = gaussian_log_prob_t(*gaussian_head_t(dyn_out, model.state_dim),
-                                 ds.next_states)
-    rew_lp = gaussian_log_prob_t(*gaussian_head_t(rew_out, 1), ds.rewards[:, None])
-    return dyn_lp, rew_lp
+    nets.gaussian_head)."""
+    return (gaussian_log_prob_t(dyn_out, ds.next_states),
+            gaussian_log_prob_t(rew_out, ds.rewards[:, None]))
 
 
 def wm_loss(model: WorldModel, batch: WorldDataset):
@@ -220,8 +223,7 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
     if len(batch) == 0:
         raise ValueError("batch must be nonempty")
     x = np.hstack([batch.states, batch.actions])
-    dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward(x), model.reward.forward(x),
-                                batch)
+    dyn_lp, rew_lp = _log_probs(model.dynamics.forward(x), model.reward.forward(x), batch)
     loss = ad.neg(ad.mean_all(ad.add(dyn_lp, rew_lp)))
     if not np.isfinite(loss.data):
         raise TrainingAbort("non-finite world-model loss")
@@ -244,8 +246,7 @@ def heldout_nll(model: WorldModel, ds: WorldDataset):
         raise ValueError("ds must be nonempty")
     _check_finite(ds, "ds")
     x = np.hstack([ds.states, ds.actions])
-    dyn_lp, rew_lp = _log_probs(model, model.dynamics.forward_np(x),
-                                model.reward.forward_np(x), ds)
+    dyn_lp, rew_lp = _log_probs(model.dynamics.forward_np(x), model.reward.forward_np(x), ds)
     dyn_nll = -float(dyn_lp.data.mean())
     rew_nll = -float(rew_lp.data.mean())
     return dyn_nll + rew_nll, dyn_nll, rew_nll

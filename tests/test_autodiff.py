@@ -32,6 +32,13 @@ def fd_grad(f, x, h=1e-5):
     return g
 
 
+def square(a):
+    """a * a elementwise as one node: the tests' nonlinear loss piece, built
+    with ad.make like the library's fused nodes."""
+    a = ad.as_tensor(a)
+    return ad.make(a.data * a.data, (a,), lambda g: (2.0 * g * a.data,))
+
+
 # The float32 twins hold Mlp.forward's default float32 graph to the float64
 # oracles of the float64 tests, with 10x headroom over the largest gaps
 # measured on these tests' tiny nets: 2.0e-6 relative in a net's output
@@ -80,34 +87,6 @@ class TestOpGradients:
     def test_add_broadcast(self):
         check_op(lambda p, rng: ad.add(p, np.arange(3.0)), lambda rng: rng.normal(size=(4, 3)))
 
-    def test_mul(self):
-        check_op(
-            lambda p, rng: ad.mul(p, rng.normal(size=(4, 3))),
-            lambda rng: rng.normal(size=(4, 3)),
-        )
-
-    def test_mul_self(self):
-        check_op(lambda p, rng: ad.mul(p, p), lambda rng: rng.normal(size=(3, 2)))
-
-    def test_exp(self):
-        check_op(lambda p, rng: ad.exp(p), lambda rng: rng.normal(size=(3, 3)))
-
-    def test_clip_interior(self):
-        # keep samples away from the clip boundary so FD stays valid
-        check_op(
-            lambda p, rng: ad.clip(p, -0.5, 0.5),
-            lambda rng: rng.uniform(-0.4, 0.4, size=(3, 4)),
-        )
-
-    def test_clip_zero_outside(self):
-        p = ad.parameter(np.array([[2.0, -2.0, 0.1]]))
-        out = ad.mean_all(ad.clip(p, -0.5, 0.5))
-        ad.backward(out)
-        np.testing.assert_allclose(p.grad, [[0.0, 0.0, 1.0 / 3.0]])
-
-    def test_slice_cols(self):
-        check_op(lambda p, rng: ad.slice_cols(p, 1, 3), lambda rng: rng.normal(size=(4, 5)))
-
 
 def operand_shape(rng, full):
     """A shape that broadcasts to `full`: a random suffix of it (leading dims
@@ -116,18 +95,17 @@ def operand_shape(rng, full):
     return tuple(1 if rng.random() < 0.4 else n for n in suffix)
 
 
-@pytest.mark.parametrize("op", [ad.add, ad.mul])
+@pytest.mark.parametrize("op", [ad.add])
 def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
     rng = np.random.default_rng(60)
     for _ in range(30):
         full = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 4)))
         shape_a, shape_b = operand_shape(rng, full), operand_shape(rng, full)
         a0, b0 = rng.normal(size=shape_a), rng.normal(size=shape_b)
-        # A random weight makes each output entry's gradient distinct.
-        w = rng.normal(size=np.broadcast_shapes(shape_a, shape_b))
 
         def loss(a, b):
-            return ad.mean_all(ad.mul(op(a, b), w))
+            # Squared, so each output entry's gradient is distinct.
+            return ad.mean_all(square(op(a, b)))
 
         a, b = ad.parameter(a0), ad.parameter(b0)
         ad.backward(loss(a, b))
@@ -140,33 +118,33 @@ def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
 
 class TestBackward:
     def test_sum_of_params_gradient_ones(self):
+        # The sum is size times the mean.
         p = ad.parameter(np.arange(6.0).reshape(2, 3))
-        loss = ad.mul(ad.mean_all(p), float(p.data.size))
-        ad.backward(loss)
-        np.testing.assert_allclose(p.grad, np.ones((2, 3)))
+        ad.backward(ad.mean_all(p))
+        np.testing.assert_allclose(p.grad * p.data.size, np.ones((2, 3)))
 
     def test_half_norm_gradient_is_p(self):
+        # Half the squared norm is size / 2 times the mean square.
         x = np.array([[1.0, -2.0, 0.5]])
         p = ad.parameter(x)
-        loss = ad.mul(ad.mean_all(ad.mul(p, p)), 0.5 * p.data.size)
-        ad.backward(loss)
-        np.testing.assert_allclose(p.grad, x)
+        ad.backward(ad.mean_all(square(p)))
+        np.testing.assert_allclose(p.grad * (0.5 * p.data.size), x)
 
     def test_non_scalar_rejected(self):
         p = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            ad.backward(ad.mul(p, p))
+            ad.backward(square(p))
 
     def test_double_backward_rejected(self):
         p = ad.parameter(np.ones(3))
-        loss = ad.mean_all(ad.mul(p, p))
+        loss = ad.mean_all(square(p))
         ad.backward(loss)
         with pytest.raises(RuntimeError):
             ad.backward(loss)
 
     def test_shared_subgraph_accumulates(self):
         p = ad.parameter(np.array([2.0]))
-        y = ad.mul(p, p)  # p^2
+        y = square(p)
         loss = ad.mean_all(ad.add(y, y))  # 2 p^2 -> d/dp = 4p
         ad.backward(loss)
         np.testing.assert_allclose(p.grad, [8.0])
@@ -194,7 +172,7 @@ class TestBackward:
         x = ad.constant(np.random.default_rng(3).normal(size=(4, 3)))
         out = net.forward(x)
         assert out._backward(np.ones_like(out.data))[0] is None
-        ad.backward(ad.mean_all(ad.mul(out, out)))
+        ad.backward(ad.mean_all(square(out)))
         assert x.grad is None
         return net, x
 
@@ -343,7 +321,7 @@ class TestMlp:
             x0 = np.random.default_rng(seed + 10).normal(size=(4, 3))
             x = ad.parameter(x0)
             out = net.forward(x)
-            ad.backward(ad.mean_all(ad.mul(out, out)))
+            ad.backward(ad.mean_all(square(out)))
             yield x.grad, fd(lambda: fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))
             for p in net.params:
                 yield p.grad, fd(lambda: param_fd_grad(net, x0, p))
@@ -429,7 +407,7 @@ class TestAdam:
             for _ in range(10):
                 opt.zero_grad()
                 out = net.forward(x)
-                loss = ad.mean_all(ad.mul(out, out))
+                loss = ad.mean_all(square(out))
                 ad.backward(loss)
                 opt.step()
             return np.concatenate([p.data.ravel() for p in net.params])

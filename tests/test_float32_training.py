@@ -18,6 +18,7 @@ import pytest
 from minreal import autodiff as ad
 from minreal import env, latent, nets, qvae, world
 from minreal.tsallis import QParams
+from test_autodiff import square
 
 CLASSES = (
     qvae.ObservationClass("proprio", "diag_gaussian", env.PROPRIO_DIM),
@@ -77,7 +78,7 @@ def test_mlp_gradients_match_float64(monkeypatch, observations):
     # mean(encoder(x)^2), measured 1.8e-8 relative
     net = qvae.build_qvae(CLASSES, 20, PAPER_QPARAMS).encoder
     x = ad.parameter(observations[:256])
-    assert_gate(monkeypatch, lambda: ad.mean_all(ad.mul(out := net.forward(x), out)),
+    assert_gate(monkeypatch, lambda: ad.mean_all(square(net.forward(x))),
                 [x, *net.params], loss_rtol=2e-7)
 
 

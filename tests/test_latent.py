@@ -198,6 +198,19 @@ class TestMaskFile:
             LatentMask(keep=np.ones(2, dtype=bool), threshold_used=0.1,
                        importance=np.array([np.nan, 0.3]))
 
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, -np.inf])
+    def test_threshold_must_be_non_negative(self, threshold):
+        # build_mask rejects these thresholds; a mask built directly or
+        # loaded from a file once kept them.
+        with pytest.raises(ValueError, match="threshold"):
+            LatentMask(keep=np.ones(2, dtype=bool), threshold_used=threshold,
+                       importance=np.ones(2))
+
+    def test_infinite_threshold_allowed(self):
+        # build_mask(importance, inf) falls back to the most important dim.
+        mask = build_mask(np.array([0.2, 0.5]), np.inf)
+        assert mask.threshold_used == np.inf and mask.fallback_used
+
 
 class TestMaskFileRejectsMalformed:
     """Each malformed mask file raises ValueError naming the file."""
@@ -242,6 +255,12 @@ class TestMaskFileRejectsMalformed:
 
     def test_keeps_no_dimension(self, tmp_path):
         path = self.write(tmp_path, keep=np.zeros(2), importance=np.ones(2))
+        with pytest.raises(ValueError, match="bad_mask.bin"):
+            load_mask(path)
+
+    @pytest.mark.parametrize("threshold", [np.nan, -0.1, -np.inf])
+    def test_bad_threshold(self, tmp_path, threshold):
+        path = self.write(tmp_path, header={**self.HEADER, "threshold_used": threshold})
         with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)
 

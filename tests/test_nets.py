@@ -8,9 +8,12 @@ from minreal import autodiff as ad
 from minreal.nets import (
     _CB_SEAM,
     CB_LOGIT_CLAMP,
+    LOG_STD_MAX,
+    LOG_STD_MIN,
     Mlp,
     MlpSpec,
     cb_log_prob_t,
+    gaussian_head,
     gaussian_log_prob_t,
     load_checkpoint,
     param_arrays,
@@ -33,60 +36,113 @@ def node_value(build, arr):
     return float(ad.mean_all(build(arr)).data)
 
 
+# One row's log-std columns: inside, at and beyond the clamp.
+CLAMP_LOG_STDS = np.array([LOG_STD_MIN + 0.5, LOG_STD_MAX - 0.5, LOG_STD_MIN, LOG_STD_MAX,
+                           LOG_STD_MIN - 1.0, LOG_STD_MAX + 3.0])
+
+
+def assert_gradient_near_at_and_beyond_clamp(build, mean):
+    """build(raw)'s gradient in raw = [mean, CLAMP_LOG_STDS] (one row)
+    against finite differences: central ones in the mean and inside the
+    clamp, zero beyond it, and at it a second-order one-sided difference
+    from inside, since the clamp passes the gradient at its ends."""
+    w = CLAMP_LOG_STDS.size
+    raw0 = np.concatenate([mean, CLAMP_LOG_STDS])[None, :]
+    grad = node_gradient(build, raw0)
+    num = fd_grad(lambda arr: node_value(build, arr), raw0.copy())
+    np.testing.assert_allclose(grad[0, : w + 2], num[0, : w + 2], rtol=1e-6, atol=1e-9)
+    # Beyond the clamp the value is flat and the gradient exactly zero.
+    assert (grad[0, w + 4 :] == 0.0).all() and (num[0, w + 4 :] == 0.0).all()
+    h = 1e-5
+    for j, inward in ((w + 2, 1.0), (w + 3, -1.0)):
+        def at(k, j=j, inward=inward):
+            arr = raw0.copy()
+            arr[0, j] += k * inward * h
+            return node_value(build, arr)
+
+        one_sided = -inward * (3 * at(0) - 4 * at(1) + at(2)) / (2 * h)
+        assert grad[0, j] == pytest.approx(one_sided, rel=1e-6, abs=1e-9)
+        assert grad[0, j] != 0.0
+
+
+# Raw head outputs for a width-2 head that are not (batch, 4).
+BAD_RAWS = [np.zeros(4), np.zeros((1, 3)), np.zeros((1, 5)), np.zeros((1, 2, 4))]
+
+
+class TestGaussianHead:
+    def test_splits_and_clamps(self):
+        raw = np.array([[0.3, -0.4, -9.0, 1.5], [7.0, 0.0, 0.2, 4.0]])
+        mean, log_std = gaussian_head(raw, 2)
+        assert mean.tobytes() == raw[:, :2].tobytes()
+        np.testing.assert_array_equal(log_std, [[LOG_STD_MIN, 1.5], [0.2, LOG_STD_MAX]])
+
+    @pytest.mark.parametrize("raw", BAD_RAWS, ids=lambda r: str(r.shape))
+    def test_raw_shape_rejected(self, raw):
+        with pytest.raises(ValueError, match="raw head output"):
+            gaussian_head(raw, 2)
+        with pytest.raises(ValueError, match="raw head output"):
+            gaussian_log_prob_t(raw, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="raw head output"):
+            reparam_sample(raw, np.zeros((1, 2)))
+
+
 class TestGaussianLogProb:
     def test_standard_normal_at_zero(self):
-        out = gaussian_log_prob_t(np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        out = gaussian_log_prob_t(np.zeros((1, 2)), np.zeros((1, 1)))
         assert float(out.data[0]) == pytest.approx(-0.9189385332046727, abs=1e-12)
 
     def test_at_mean(self):
         rng = np.random.default_rng(0)
         mu = rng.normal(size=(2, 3))
         ls = rng.uniform(-1, 1, size=(2, 3))
-        out = gaussian_log_prob_t(mu, ls, mu)
+        out = gaussian_log_prob_t(np.hstack([mu, ls]), mu)
         expected = -ls.sum(axis=1) - 1.5 * np.log(2 * np.pi)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
     def test_matches_scipy_density_oracle(self):
+        # Log-stds from beyond the floor to beyond the ceiling: the density
+        # is the clamped one.
         rng = np.random.default_rng(1)
         mu = rng.normal(size=(4, 3))
-        ls = rng.uniform(-1.5, 1.0, size=(4, 3))
-        x = rng.normal(size=(4, 3))
-        out = gaussian_log_prob_t(mu, ls, x)
-        oracle = stats.norm.logpdf(x, loc=mu, scale=np.exp(ls)).sum(axis=1)
+        ls = rng.uniform(-8.0, 4.0, size=(4, 3))
+        x = mu + rng.normal(size=(4, 3)) * np.exp(np.clip(ls, -6.0, 2.0))
+        out = gaussian_log_prob_t(np.hstack([mu, ls]), x)
+        oracle = stats.norm.logpdf(x, loc=mu, scale=np.exp(np.clip(ls, -6.0, 2.0))).sum(axis=1)
         np.testing.assert_allclose(out.data, oracle, rtol=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            gaussian_log_prob_t(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 3)))
+            gaussian_log_prob_t(np.zeros((1, 4)), np.zeros((1, 3)))
 
     def test_gradient_check(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(3, 2))
+        raw0 = np.hstack([rng.normal(size=(3, 2)), rng.uniform(-1, 1, (3, 2))])
 
-        def build(p, _rng):
-            mu = ad.slice_cols(p, 0, 2)
-            ls = ad.slice_cols(p, 2, 4)
-            return gaussian_log_prob_t(mu, ls, x)
+        def build(arr):
+            return gaussian_log_prob_t(arr, x)
 
-        packed = np.hstack([rng.normal(size=(3, 2)), rng.uniform(-1, 1, (3, 2))])
+        grad = node_gradient(build, raw0)
+        num = fd_grad(lambda arr: node_value(build, arr), raw0.copy())
+        denom = np.maximum(np.abs(grad) + np.abs(num), 1e-6)
+        assert np.max(np.abs(grad - num) / denom) <= 1e-4
 
-        def scalar(arr):
-            return float(ad.mean_all(build(ad.parameter(arr), None)).data)
-
-        p = ad.parameter(packed.copy())
-        ad.backward(ad.mean_all(build(p, None)))
-        num = fd_grad(scalar, packed.copy())
-        denom = np.maximum(np.abs(p.grad) + np.abs(num), 1e-6)
-        assert np.max(np.abs(p.grad - num) / denom) <= 1e-4
+    def test_gradient_near_at_and_beyond_clamp(self):
+        rng = np.random.default_rng(14)
+        mean = rng.normal(size=CLAMP_LOG_STDS.size)
+        # x a std or so from the mean, so that no column's z is extreme.
+        std = np.exp(np.clip(CLAMP_LOG_STDS, LOG_STD_MIN, LOG_STD_MAX))
+        x = (mean + rng.uniform(0.5, 1.5, size=mean.size) * std)[None, :]
+        assert_gradient_near_at_and_beyond_clamp(lambda arr: gaussian_log_prob_t(arr, x), mean)
 
     @pytest.mark.parametrize("stat_rows", [3, 1], ids=["per_row", "broadcast"])
     def test_gradients_of_mean_log_std_and_tracked_x(self, stat_rows):
-        # stat_rows = 1: a (1, |Z|) mean and log-std, such as the prior's,
-        # broadcast over the batch; their gradients sum over it.
+        # stat_rows = 1: a (1, 2|Z|) raw head, such as the prior's,
+        # broadcast over the batch; its gradient sums over it.
         rng = np.random.default_rng(11)
-        args = [rng.normal(size=(stat_rows, 4)), rng.uniform(-1, 1, (stat_rows, 4)),
+        args = [np.hstack([rng.normal(size=(stat_rows, 4)), rng.uniform(-1, 1, (stat_rows, 4))]),
                 rng.normal(size=(3, 4))]
-        for i in range(3):
+        for i in range(2):
             def build(arr, i=i):
                 return gaussian_log_prob_t(*args[:i], arr, *args[i + 1:])
 
@@ -96,60 +152,78 @@ class TestGaussianLogProb:
             np.testing.assert_allclose(grad, num, rtol=1e-6, atol=1e-9)
 
     def test_matches_replaced_op_chain(self):
+        # The slice, clip and density ops it replaced, written out.
         rng = np.random.default_rng(12)
-        mu, x = rng.normal(size=(1, 5)), rng.normal(size=(7, 5))
-        ls = rng.uniform(-6.0, 2.0, size=(7, 5))
+        raw = np.hstack([rng.normal(size=(7, 5)), rng.uniform(-8.0, 4.0, size=(7, 5))])
+        x = rng.normal(size=(7, 5))
+        mu, ls = raw[:, :5], np.clip(raw[:, 5:], -6.0, 2.0)
         z = (x - mu) * np.exp(-ls)
         chain = ((z * z) * -0.5 - ls).sum(axis=1) + -5 * 0.5 * np.log(2.0 * np.pi)
-        np.testing.assert_allclose(gaussian_log_prob_t(mu, ls, x).data, chain,
+        np.testing.assert_allclose(gaussian_log_prob_t(raw, x).data, chain,
                                    rtol=1e-12, atol=0)
 
     def test_tape_free_value_equals_graph_value(self):
         rng = np.random.default_rng(13)
-        mu, ls, x = rng.normal(size=(6, 3)), rng.uniform(-2, 1, (6, 3)), rng.normal(size=(6, 3))
-        graph = gaussian_log_prob_t(ad.parameter(mu), ad.parameter(ls), ad.parameter(x))
-        assert graph.data.tobytes() == gaussian_log_prob_t(mu, ls, x).data.tobytes()
+        raw = np.hstack([rng.normal(size=(6, 3)), rng.uniform(-8, 4, (6, 3))])
+        x = rng.normal(size=(6, 3))
+        graph = gaussian_log_prob_t(ad.parameter(raw), ad.parameter(x))
+        assert graph.data.tobytes() == gaussian_log_prob_t(raw, x).data.tobytes()
 
     def test_one_call_records_one_node(self):
-        mu, ls = ad.parameter(np.zeros((2, 3))), ad.parameter(np.zeros((2, 3)))
+        raw = ad.parameter(np.zeros((2, 6)))
         x = ad.constant(np.ones((2, 3)))
-        out = gaussian_log_prob_t(mu, ls, x)
-        assert len(out._parents) == 3
-        assert all(a is b for a, b in zip(out._parents, (mu, ls, x)))
+        out = gaussian_log_prob_t(raw, x)
+        assert len(out._parents) == 2
+        assert all(a is b for a, b in zip(out._parents, (raw, x)))
 
 
 class TestReparamSample:
     def test_zero_noise_returns_mean(self):
         mu = np.array([[0.4, -1.0]])
-        out = reparam_sample(mu, np.zeros((1, 2)), np.zeros((1, 2)))
+        out = reparam_sample(np.hstack([mu, np.zeros((1, 2))]), np.zeros((1, 2)))
         np.testing.assert_allclose(out.data, mu)
 
     def test_clamped_floor_sigma(self):
-        mu = np.zeros((1, 3))
         noise = np.array([[1.0, -2.0, 0.5]])
-        out = reparam_sample(mu, np.full((1, 3), -6.0), noise)
-        assert np.all(np.abs(out.data - mu) <= np.exp(-6.0) * np.abs(noise) + 1e-15)
+        out = reparam_sample(np.hstack([np.zeros((1, 3)), np.full((1, 3), -9.0)]), noise)
+        assert out.data.tobytes() == (np.exp(-6.0) * noise).tobytes()
 
     def test_log_std_gradient_is_sigma_noise(self):
         rng = np.random.default_rng(4)
         noise = rng.normal(size=(2, 3))
-        ls0 = rng.uniform(-1, 1, size=(2, 3))
-        p = ad.parameter(ls0.copy())
-        out = ad.mean_all(reparam_sample(np.zeros((2, 3)), p, noise))
-        ad.backward(out)
-        np.testing.assert_allclose(p.grad, np.exp(ls0) * noise / 6.0, rtol=1e-10)
+        raw0 = np.hstack([rng.normal(size=(2, 3)), rng.uniform(-1, 1, size=(2, 3))])
 
-        def scalar(arr):
-            return float(
-                ad.mean_all(reparam_sample(np.zeros((2, 3)), ad.parameter(arr), noise)).data
-            )
+        def build(arr):
+            return reparam_sample(arr, noise)
 
-        num = fd_grad(scalar, ls0.copy())
-        np.testing.assert_allclose(p.grad, num, rtol=1e-5)
+        grad = node_gradient(build, raw0)
+        np.testing.assert_allclose(grad[:, :3], np.full((2, 3), 1.0 / 6.0), rtol=1e-15)
+        np.testing.assert_allclose(grad[:, 3:], np.exp(raw0[:, 3:]) * noise / 6.0, rtol=1e-10)
+        num = fd_grad(lambda arr: node_value(build, arr), raw0.copy())
+        np.testing.assert_allclose(grad, num, rtol=1e-5)
+
+    def test_gradient_near_at_and_beyond_clamp(self):
+        rng = np.random.default_rng(15)
+        noise = rng.normal(size=(1, CLAMP_LOG_STDS.size))
+        assert_gradient_near_at_and_beyond_clamp(lambda arr: reparam_sample(arr, noise),
+                                                 rng.normal(size=CLAMP_LOG_STDS.size))
+
+    def test_matches_replaced_op_chain(self):
+        # The slice, clip, exp, mul and add ops it replaced, written out.
+        rng = np.random.default_rng(16)
+        raw = np.hstack([rng.normal(size=(5, 4)), rng.uniform(-8.0, 4.0, size=(5, 4))])
+        noise = rng.normal(size=(5, 4))
+        chain = raw[:, :4] + np.exp(np.clip(raw[:, 4:], -6.0, 2.0)) * noise
+        assert reparam_sample(raw, noise).data.tobytes() == chain.tobytes()
+
+    def test_one_call_records_one_node(self):
+        raw = ad.parameter(np.zeros((2, 6)))
+        out = reparam_sample(raw, np.ones((2, 3)))
+        assert len(out._parents) == 1 and out._parents[0] is raw
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            reparam_sample(np.zeros((1, 2)), np.zeros((1, 2)), np.zeros((1, 3)))
+            reparam_sample(np.zeros((1, 6)), np.zeros((2, 3)))
 
 
 def cb_logit(lam):

@@ -533,14 +533,14 @@ class TestDeformedChain:
         np.testing.assert_allclose(slope, expected, rtol=1e-12)
 
     @pytest.mark.parametrize("qparams", [QP_TABLE, QP_VAE])
-    def test_loss_records_at_most_21_nodes(self, qparams):
-        # encoder 1, its head 3, the sample 3, two Gaussian densities,
-        # decoders 2, class densities 4 + 1, the two chains and the
-        # add / mean / neg that finish the loss.
+    def test_loss_records_at_most_13_nodes(self, qparams):
+        # encoder 1, the sample 1, two Gaussian densities, decoders 2, class
+        # densities 2, the two chains and the add / mean / neg that finish
+        # the loss.
         model = tiny_model(qparams=qparams, seed=1)
         x, noise = tiny_batch(model, 8)
         loss, _ = qvae_loss(model, x, noise)
-        assert loss_node_count(loss) <= 21
+        assert loss_node_count(loss) <= 13
 
 
 class TestReconChain:

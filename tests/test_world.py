@@ -37,6 +37,7 @@ from minreal.world import (
 )
 from test_autodiff import F32_RTOL
 from test_env import make_state
+from test_qvae import loss_node_count
 from minreal import env
 
 
@@ -185,6 +186,20 @@ def make_dataset(n=32, sd=2, ad_=2, seed=0):
     )
 
 
+class TestWorldDataset:
+    @pytest.mark.parametrize("field, shape", [
+        ("states", (8,)), ("states", (8, 2, 1)), ("actions", (8,)),
+        ("next_states", (8,)), ("rewards", (8, 1)), ("rewards", ()),
+    ])
+    def test_wrong_rank_rejected_naming_the_field(self, field, shape):
+        # Rewards of shape (N, 1) once broadcast against (N,) in
+        # heldout_nll and wm_loss and scored a wrong NLL.
+        arrays = dict(vars(make_dataset(n=8)))
+        arrays[field] = np.zeros(shape)
+        with pytest.raises(ValueError, match=field):
+            WorldDataset(**arrays)
+
+
 class TestWmLoss:
     def test_exact_mean_unit_sigma_nll(self):
         model = constant_world_model(mean_bias=0.7, r_bias=-0.3)
@@ -275,6 +290,12 @@ class TestWmLoss:
         model = build_world_model(2, 2, seed=0)
         with pytest.raises(ValueError):
             wm_loss(model, make_dataset(n=0))
+
+    def test_loss_records_at_most_7_nodes(self):
+        # the two nets, their two Gaussian densities and the add / mean /
+        # neg that finish the loss.
+        loss, _ = wm_loss(build_world_model(3, 2, seed=4), make_dataset(n=16, sd=3, ad_=2))
+        assert loss_node_count(loss) <= 7
 
     def test_heldout_nll_rejects_empty_dataset(self):
         model = build_world_model(2, 2, seed=0)
