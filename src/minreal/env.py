@@ -12,17 +12,22 @@ save_transitions writes these arrays, by name, to one nets.save_checkpoint
 file of kind "transitions".
 
 Each formula has one implementation, a *_batch kernel over a leading
-episode axis E: step, reward, render (written straight into the caller's
-array) and the scripted controller. The one-episode API (env_step,
-observe, render, reward_of, scripted_action, initial_state) calls the same
-kernels at E = 1. collect_dataset first draws every episode's RNG stream
-in full, in the order one episode at a time would consume it (the three
-spawn uniforms, then the (T, ACTION_DIM) action noise), and then advances
-all episodes together, so its arrays equal an episode-by-episode
-collection bit for bit. The one trap is the norm: np.linalg.norm of a
-2-vector is the square root of a BLAS dot, which rounds differently from
-sqrt(x*x + y*y), norm(axis=1) or np.hypot in a few percent of rows, so
-row_norm takes its per-row dot through a stacked matmul.
+episode axis E: step, reward, render and the scripted controller. The
+renderer writes straight into the caller's array: it sets each image to 0
+and then writes only its lit pixels, the bar's two rows and the dot's
+2 x 2 pixels. Positions and target heights must lie in [0, 1], and
+velocities and actions must be finite 2-vectors; DotReacherState, env_step
+and render_batch raise ValueError otherwise. The one-episode API
+(env_step, observe, render, reward_of, scripted_action, initial_state)
+calls the same kernels at E = 1. collect_dataset first draws every
+episode's RNG stream in full, in the order one episode at a time would
+consume it (the three spawn uniforms, then the (T, ACTION_DIM) action
+noise), and then advances all episodes together, so its arrays equal an
+episode-by-episode collection bit for bit. The one trap is the norm:
+np.linalg.norm of a 2-vector is the square root of a BLAS dot, which
+rounds differently from sqrt(x*x + y*y), norm(axis=1) or np.hypot in a few
+percent of rows, so row_norm takes its per-row dot through a stacked
+matmul.
 
 Minimal realization of the system is 5 numbers: position (2), velocity (2),
 and the per-episode target height.
@@ -31,6 +36,7 @@ and the per-episode target height.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -72,9 +78,20 @@ class DotReacherState:
     target_height: float  # fixed per episode
 
     def __post_init__(self):
-        object.__setattr__(self, "pos", np.asarray(self.pos, dtype=np.float64))
-        object.__setattr__(self, "vel", np.asarray(self.vel, dtype=np.float64))
-        object.__setattr__(self, "target_height", float(self.target_height))
+        pos = np.asarray(self.pos, dtype=np.float64)
+        vel = np.asarray(self.vel, dtype=np.float64)
+        height = float(self.target_height)
+        if pos.shape != (2,) or vel.shape != (2,):
+            raise ValueError(f"pos and vel must be 2-vectors, got {pos} and {vel}")
+        # On Python floats: numpy reductions over 2-vectors cost more than this.
+        (x, y), (vx, vy) = pos.tolist(), vel.tolist()
+        if not (0.0 <= x <= 1.0 and 0.0 <= y <= 1.0 and 0.0 <= height <= 1.0
+                and math.isfinite(vx) and math.isfinite(vy)):
+            raise ValueError(f"pos and target_height must lie in [0, 1] and vel be finite, "
+                             f"got {pos}, {height} and {vel}")
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "vel", vel)
+        object.__setattr__(self, "target_height", height)
 
     def rows(self):
         """(pos, vel, target height) with a leading episode axis of 1, the
@@ -111,26 +128,43 @@ def _target_points(height):
     return target
 
 
-def _pixel_weights(coord):
-    """Anti-aliasing weights over one image axis for coordinates in pixel
-    units: 1 - frac on the pixel floor(coord), frac on the next pixel if
-    there is one, 0 elsewhere. Shape (*coord.shape, IMAGE_SIZE)."""
-    cell = np.floor(coord)[..., None]
-    frac = coord[..., None] - cell
-    pixel = np.arange(IMAGE_SIZE)
-    return np.where(pixel == cell, 1.0 - frac, np.where(pixel == cell + 1.0, frac, 0.0))
-
-
 def render_batch(out, pos, height):
-    """Rasterize into out (E, IMAGE_SIZE, IMAGE_SIZE): 0.5 bar row at the
-    target height, intensity-1 dot at the agent position, both bilinearly
-    anti-aliased over one pixel; clipped to [0, 1]."""
-    # Weights of the bar over rows (axis 1 indexes y) and of the dot over
-    # rows and columns; the dot's pixel weight is its row times column weight.
-    w = _pixel_weights(np.column_stack([height, pos[:, ::-1]]) * (IMAGE_SIZE - 1))
-    np.multiply(w[:, 1, :, None], w[:, 2, None, :], out=out)
-    out += 0.5 * w[:, 0, :, None]
-    np.clip(out, 0.0, 1.0, out=out)
+    """Rasterize into out (E, IMAGE_SIZE, IMAGE_SIZE), which may be a strided
+    view such as observe_batch's: a 0.5 bar at the target height across
+    every column and an intensity-1 dot at the agent position, each
+    bilinearly anti-aliased over one pixel, their sum capped at 1.
+
+    pos (E, 2) and height (E,) must lie in [0, 1], else ValueError. Each
+    coordinate c in pixel units has weight 1 - frac on pixel floor(c) and
+    frac on the next one. Each image is set to 0, and then only those
+    pixels are written: the bar's two rows (0.5 times the row weight), then
+    the dot's 2 x 2 pixels (row weight times column weight plus that row's
+    bar value, capped at 1). At c = IMAGE_SIZE - 1, the last pixel, the pair
+    is (c - 1, c) with weights (0, 1): no index runs past the image, and
+    every pixel gets the same bits as with weight 1 on the last pixel alone.
+    """
+    n = IMAGE_SIZE - 1
+    # Per episode, in pixel units: bar row, dot row, dot column.
+    coord = np.empty((len(height), 3))
+    coord[:, 0] = height
+    coord[:, 1:] = pos[:, ::-1]
+    coord *= n
+    if len(coord) and not (coord.min() >= 0.0 and coord.max() <= n):
+        bad = np.argmin(((coord >= 0.0) & (coord <= n)).all(axis=1))
+        raise ValueError(f"render_batch needs pos and height in [0, 1], got pos "
+                         f"{pos[bad]} and height {height[bad]} in row {bad}")
+    cell = np.minimum(np.floor(coord), n - 1)
+    frac = coord - cell
+    # Each coordinate's two pixels and their weights, (E, 3, 2).
+    pixel = cell.astype(np.intp)[:, :, None] + np.arange(2)
+    w = np.empty(pixel.shape)
+    w[:, :, 0] = 1.0 - frac
+    w[:, :, 1] = frac
+    e = np.arange(len(out))[:, None]
+    out.fill(0.0)
+    out[e, pixel[:, 0]] = 0.5 * w[:, 0, :, None]
+    e, rows, cols = e[:, :, None], pixel[:, 1, :, None], pixel[:, 2, None, :]
+    out[e, rows, cols] = np.minimum(w[:, 1, :, None] * w[:, 2, None, :] + out[e, rows, cols], 1.0)
 
 
 def observe_batch(out, pos, vel, height):
@@ -164,11 +198,19 @@ def scripted_action_batch(pos, vel, height, noise=None):
     return np.clip(a, -1.0, 1.0)
 
 
+# Low end and width of the spawn region: target height, x and y offsets.
+_SPAWN_LOW = np.array([TARGET_HEIGHT_RANGE[0], -SPAWN_DX, SPAWN_DY[0]])
+_SPAWN_SPAN = np.array([TARGET_HEIGHT_RANGE[1], SPAWN_DX, SPAWN_DY[1]]) - _SPAWN_LOW
+
+
 def _spawn_draws(rng):
-    """One episode's three spawn uniforms in stream order: target height,
-    then the x and y offsets of the start position."""
-    return (rng.uniform(*TARGET_HEIGHT_RANGE), rng.uniform(-SPAWN_DX, SPAWN_DX),
-            rng.uniform(*SPAWN_DY))
+    """One episode's three spawn uniforms, (3,), in stream order: target
+    height, then the x and y offsets of the start position. Three doubles
+    from one draw, scaled by Generator.uniform's own formula low + span * u,
+    equal three scalar rng.uniform calls bit for bit. (An array-argument
+    rng.uniform gives the same bits, but its argument checks cost about
+    four times as much as the three calls.)"""
+    return _SPAWN_LOW + _SPAWN_SPAN * rng.random(3)
 
 
 def spawn_batch(draws):
@@ -205,16 +247,19 @@ def env_step(state: DotReacherState, action):
     """Double-integrator update; returns (next_state, reward, observation).
 
     Reward is evaluated at the post-step state; deterministic and pure.
+    An action that is not a finite ACTION_DIM-vector is a ValueError.
     """
-    pos, vel = step_batch(state.pos[None], state.vel[None],
-                          np.asarray(action, dtype=np.float64)[None])
+    action = np.asarray(action, dtype=np.float64)
+    if action.shape != (ACTION_DIM,) or not all(map(math.isfinite, action.tolist())):
+        raise ValueError(f"action must be a finite {ACTION_DIM}-vector, got {action}")
+    pos, vel = step_batch(state.pos[None], state.vel[None], action[None])
     nxt = DotReacherState(pos=pos[0], vel=vel[0], target_height=state.target_height)
     return nxt, reward_of(nxt), observe(nxt)
 
 
 def initial_state(rng) -> DotReacherState:
     """Spawn above the target with zero velocity."""
-    pos, height = spawn_batch(np.array([_spawn_draws(rng)]))
+    pos, height = spawn_batch(_spawn_draws(rng)[None])
     return DotReacherState(pos=pos[0], vel=np.zeros(2), target_height=height[0])
 
 

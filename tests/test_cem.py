@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from minreal import env
 from minreal.cem import (
     CemConfig,
     PolicyParams,
@@ -28,6 +29,18 @@ class ShiftModel:
     def reward_mean(self, s, a):
         s = np.atleast_2d(s)
         return -np.sum((s - 1.0) ** 2, axis=1)
+
+
+class TrueDynamics:
+    """The dot reacher itself over the state (pos, vel, target height):
+    env's step kernel, and its reward at the stepped state."""
+
+    def dynamics_mean(self, s, a):
+        pos, vel = env.step_batch(s[:, :2], s[:, 2:4], a)
+        return np.column_stack([pos, vel, s[:, 4]])
+
+    def reward_mean(self, s, a):
+        return env.reward_batch(*env.step_batch(s[:, :2], s[:, 2:4], a), s[:, 4])
 
 
 def config(**kw):
@@ -339,3 +352,22 @@ class TestConfigValidation:
         # plan once ranked candidates by all -inf scores from a NaN start.
         with pytest.raises(ValueError, match="s0"):
             plan(ShiftModel(), np.array([value]), config(), seed=0)
+
+
+class TestTrueDynamicsClosedLoop:
+    @pytest.mark.parametrize("start_seed", [3936, 0, 1])
+    def test_reaches_the_target(self, start_seed):
+        # Paper CEM (H = 5, 10 iterations, elite ratio 0.01) at K = 1 000,
+        # warm-started by shift_policy, planning on the true dynamics.
+        cfg = CemConfig(action_low=-np.ones(2), action_high=np.ones(2), candidates=1000)
+        state = env.initial_state(np.random.default_rng(start_seed))
+        policy = None
+        for step in range(env.EPISODE_LEN):
+            s = np.concatenate([state.pos, state.vel, [state.target_height]])
+            action, diag = plan(TrueDynamics(), s, cfg, seed=[start_seed, step],
+                                initial_policy=policy)
+            policy = shift_policy(diag.final_policy, cfg)
+            state, reward, _ = env.env_step(state, action)
+            if env.is_success(reward):
+                return
+        pytest.fail(f"no success in {env.EPISODE_LEN} steps from seed {start_seed}")

@@ -113,6 +113,43 @@ def oracle_collect(n_episodes, seed):
     return np.array(obs), np.array(actions), np.array(rewards)
 
 
+def dense_sum(pos, height):
+    """Oracle: the dense rasterizer that render_batch replaced, before its
+    clip. Per image axis every pixel gets an anti-aliasing weight: 1 - frac
+    on floor(coord), frac on the next pixel, 0 elsewhere. The dot is the
+    outer product of its row and column weights, and the bar adds 0.5 times
+    its row weight across every column. Returns (E, IMAGE_SIZE, IMAGE_SIZE)."""
+    coord = np.column_stack([height, pos[:, ::-1]]) * (env.IMAGE_SIZE - 1)
+    cell = np.floor(coord)[..., None]
+    frac = coord[..., None] - cell
+    pixel = np.arange(env.IMAGE_SIZE)
+    w = np.where(pixel == cell, 1.0 - frac, np.where(pixel == cell + 1.0, frac, 0.0))
+    img = w[:, 1, :, None] * w[:, 2, None, :]
+    img += 0.5 * w[:, 0, :, None]
+    return img
+
+
+def render_into_view(pos, height):
+    """render_batch into an observe_batch-style strided view of a NaN-filled
+    (E, 3, OBS_DIM) buffer. Returns (images, buffer) so a test can check
+    that every pixel was written and nothing outside the images was."""
+    buf = np.full((len(pos), 3, env.OBS_DIM), np.nan)
+    images = buf[:, 1, env.PROPRIO_DIM:].reshape(-1, env.IMAGE_SIZE, env.IMAGE_SIZE)
+    assert np.shares_memory(images, buf)
+    env.render_batch(images, pos, height)
+    return images, buf
+
+
+def collection_digest(n, seed):
+    """sha256 of the obs, action and reward bytes of collect_dataset(n, seed)."""
+    ds = env.collect_dataset(n, seed=seed)
+    joined = ds.train + ds.val + ds.test
+    h = hashlib.sha256()
+    for a in (joined.obs, joined.action, joined.reward):
+        h.update(a.tobytes())
+    return h.hexdigest()
+
+
 def edge_batch(e=32, seed=0):
     """(pos, vel, target height, action) rows with walls and clamps: the
     position at 0 and 1 on each axis (the dot on the last image row or
@@ -226,6 +263,121 @@ class TestRender:
             dec_pos, dec_z = decode_image(img)
             assert np.max(np.abs(dec_pos - pos)) <= px_tol
             assert abs(dec_z - z) <= px_tol
+
+
+def render_cases():
+    """(name, pos, height) batches for the dense-oracle tests."""
+    n = env.IMAGE_SIZE - 1
+    rng = np.random.default_rng(5)
+    centres = np.arange(n + 1) / n  # coord * n is an integer: frac = 0
+    y, x = np.meshgrid(centres, centres, indexing="ij")
+    grid = np.column_stack([x.ravel(), y.ravel()])
+    heights = rng.choice(centres, len(grid))
+    edges = np.array([0.0, 1.0, 0.5, rng.uniform()])
+    ex, ey, eh = (a.ravel() for a in np.meshgrid(edges, edges, edges, indexing="ij"))
+    bar_rows = np.array([0.0, 0.5 / n, 1.0 / n, (n - 1.5) / n, (n - 0.5) / n, 1.0, 1.0 - 1e-12])
+    on_bar = np.concatenate([centres, rng.uniform(size=50), [0.0, 1.0]])
+    return [
+        ("pixel centres", grid, heights),
+        ("0 and 1 on each axis", np.column_stack([ex, ey]), eh),
+        ("bar on the first and last rows", rng.uniform(size=(len(bar_rows), 2)), bar_rows),
+        ("dot on a bar row", np.column_stack([rng.uniform(size=len(on_bar)), on_bar]), on_bar),
+        ("one row", rng.uniform(size=(1, 2)), rng.uniform(size=1)),
+        ("10 000 random rows", rng.uniform(size=(10_000, 2)), rng.uniform(size=10_000)),
+    ]
+
+
+RENDER_CASES = {name: (pos, height) for name, pos, height in render_cases()}
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize("name", RENDER_CASES)
+    def test_render_batch_equals_dense_rasterizer(self, name):
+        pos, height = RENDER_CASES[name]
+        images, buf = render_into_view(pos, height)
+        want = np.clip(dense_sum(pos, height), 0.0, 1.0)
+        assert images.tobytes() == want.tobytes(), name
+        assert np.isnan(buf[:, 1, :env.PROPRIO_DIM]).all() and np.isnan(buf[:, ::2]).all()
+
+    def test_cases_reach_the_edges_and_the_clip(self):
+        n = env.IMAGE_SIZE - 1
+        pos, height = RENDER_CASES["pixel centres"]
+        coord = np.column_stack([pos, height]) * n
+        assert (coord == np.floor(coord)).all()
+        pos, height = RENDER_CASES["0 and 1 on each axis"]
+        for a in (pos[:, 0], pos[:, 1], height):
+            assert (a == 0.0).any() and (a == 1.0).any()
+        _, height = RENDER_CASES["bar on the first and last rows"]
+        assert {0, n} <= set(np.floor(height * n).astype(int))
+        pos, height = RENDER_CASES["dot on a bar row"]
+        assert dense_sum(pos, height).max() > 1.0
+
+    @pytest.mark.parametrize("n, seed, digest", [
+        # perfbench's training draw and its held-out draw at seed 1.
+        (100, 2208, "1624191e435ee0da53d3a7a19204f310cfa96e30eca8f038d38bf8a0f63a7e22"),
+        (300, [1, 1], "a19bc3d653eb5b28e83a4901ba486df0e7bf250c054cc65c32d8e01901765e7d"),
+    ])
+    def test_collection_bytes_pinned(self, n, seed, digest):
+        # The bytes the dense rasterizer and three scalar spawn draws gave.
+        assert collection_digest(n, seed) == digest
+
+    def test_spawn_draws_equal_three_scalar_uniforms(self):
+        for seed in range(2000):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = [ref.uniform(*env.TARGET_HEIGHT_RANGE),
+                    ref.uniform(-env.SPAWN_DX, env.SPAWN_DX), ref.uniform(*env.SPAWN_DY)]
+            assert np.asarray(env._spawn_draws(rng)).tobytes() == np.array(want).tobytes()
+            assert rng.random() == ref.random()  # the same point in the stream
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("pos, vel, height", [
+        ((NAN, 0.5), (0.0, 0.0), 0.3),
+        ((0.5, INF), (0.0, 0.0), 0.3),
+        ((0.5,), (0.0, 0.0), 0.3),
+        ((0.5, 0.5, 0.5), (0.0, 0.0), 0.3),
+        ([[0.5, 0.5]], (0.0, 0.0), 0.3),
+        ((1.3, -0.2), (0.0, 0.0), 0.3),
+        ((-1e-12, 0.5), (0.0, 0.0), 0.3),
+        ((0.5, 1.0 + 1e-12), (0.0, 0.0), 0.3),
+        ((0.5, 0.5), (NAN, 0.0), 0.3),
+        ((0.5, 0.5), (0.0, -INF), 0.3),
+        ((0.5, 0.5), (0.0,), 0.3),
+        ((0.5, 0.5), (0.0, 0.0, 0.0), 0.3),
+        ((0.5, 0.5), (0.0, 0.0), NAN),
+        ((0.5, 0.5), (0.0, 0.0), INF),
+        ((0.5, 0.5), (0.0, 0.0), -0.1),
+        ((0.5, 0.5), (0.0, 0.0), 1.5),
+    ])
+    def test_state_rejected(self, pos, vel, height):
+        with pytest.raises(ValueError, match=r"2-vectors|\[0, 1\]"):
+            env.DotReacherState(pos=pos, vel=vel, target_height=height)
+
+    def test_state_on_the_box_accepted(self):
+        for pos, height in (((0.0, 0.0), 0.0), ((1.0, 1.0), 1.0)):
+            s = env.DotReacherState(pos=pos, vel=(-5.0, 5.0), target_height=height)
+            assert env.render(s).max() == 1.0
+
+    @pytest.mark.parametrize("action", [
+        (NAN, 0.1), (0.1, INF), (0.1,), (0.1, 0.2, 0.3), [[0.1, 0.2]]])
+    def test_env_step_rejects_action(self, action):
+        s = env.initial_state(np.random.default_rng(0))
+        with pytest.raises(ValueError, match="action"):
+            env.env_step(s, action)
+
+    @pytest.mark.parametrize("pos, height", [
+        ((NAN, 0.5), 0.3), ((0.5, NAN), 0.3), ((0.5, 0.5), NAN),
+        ((-0.1, 0.5), 0.3), ((0.5, -1e-12), 0.3), ((1.3, 0.5), 0.3),
+        ((0.5, 0.5), -0.1), ((0.5, 0.5), 1.0 + 1e-12)])
+    def test_render_batch_rejects_coordinate_outside_the_box(self, pos, height):
+        # A good row next to the bad one: the whole batch is rejected.
+        pos = np.array([(0.5, 0.5), pos])
+        height = np.array([0.3, height])
+        with pytest.raises(ValueError, match=r"in \[0, 1\]"):
+            env.render_batch(np.empty((2, env.IMAGE_SIZE, env.IMAGE_SIZE)), pos, height)
 
 
 class TestCollect:
