@@ -3,11 +3,12 @@
 A Tensor wraps an ndarray plus an optional gradient slot; every op below
 records a closure that maps the upstream gradient to per-input gradients.
 make() builds every node. nets and qvae build their fused nodes with it too:
-one per network (Mlp.forward), one per likelihood head (gaussian_log_prob_t,
-cb_log_prob_t), one per reparameterized sample (reparam_sample) and one per
-deformed chain (qvae._deformed_sum_t), each with a hand-written backward
-from its net's raw output. The ops here are only the add, mean and
-negation that finish the losses.
+one per network over its one parameter leaf (Mlp.forward), one per
+likelihood head (gaussian_log_prob_t, cb_log_prob_t), one per
+reparameterized sample (reparam_sample) and one per deformed chain
+(qvae._deformed_sum_t), each with a hand-written backward from its net's
+raw output. The ops here are only the add, mean and negation that finish
+the losses.
 backward() walks the recorded graph once from a scalar loss; calling it
 again on the same loss without rebuilding the graph is an error.
 
@@ -62,20 +63,6 @@ def make(data, inputs, backward_fn):
     return Tensor(data)
 
 
-def _unbroadcast(grad, shape):
-    """Sum grad down to `shape` after numpy broadcasting."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 def add(a, b):
     a, b = as_tensor(a), as_tensor(b)
     return make(a.data + b.data, (a, b), lambda g: (g, g))
@@ -99,7 +86,9 @@ def mean_all(a):
 def backward(loss: Tensor):
     """Reverse pass from a scalar loss; fills .grad on trainable leaves.
 
-    Raises if loss is not a scalar or if called twice on the same graph.
+    Raises if loss is not a scalar, if called twice on the same graph, or
+    if a node's gradient has another shape than its tracked input: no
+    tracked input is broadcast, so nothing is summed down.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -140,7 +129,9 @@ def backward(loss: Tensor):
         for parent, pg in zip(node._parents, parent_grads):
             if not tracked(parent):  # a constant: its gradient goes nowhere
                 continue
-            pg = _unbroadcast(pg, parent.data.shape)
+            if pg.shape != parent.data.shape:
+                raise ValueError(f"gradient of shape {pg.shape} for an input of shape "
+                                 f"{parent.data.shape}")
             key = id(parent)
             if key in grads:
                 grads[key] = grads[key] + pg

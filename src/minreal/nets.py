@@ -12,15 +12,17 @@ none of them records a tape, so inference and evaluation run the same head
 and density code as the losses and read .data.
 
 Every hidden layer is dense, then the activation (swish or tanh), then layer
-normalization without an affine part. Mlp._layers is the one layer loop.
-forward_np() runs it tape-free, for encoding, evaluation and planning;
-forward() runs it in GRAPH_DTYPE (float32) and records the network as one
-autodiff node, whose backward runs the layers in reverse in the same dtype.
-Training thus does its layer math in float32 under float64 master weights:
-the parameters, Adam's moments, the heads and losses, the checkpoints and
-every tape-free path stay float64. The node's value is forward_np's output
-on the input cast to GRAPH_DTYPE, bit for bit, as float64, and the
-gradients it passes back are float64.
+normalization without an affine part. A network's weights and biases are
+one float64 vector, its one autodiff leaf Mlp.param. Mlp._layers is the one
+layer loop; it casts that vector once per call. forward_np() runs it
+tape-free, for encoding, evaluation and planning; forward() runs it in
+GRAPH_DTYPE (float32) and records the network as one autodiff node, whose
+backward runs the layers in reverse in the same dtype into one gradient
+vector. Training thus does its layer math in float32 under float64 master
+weights: the parameters, Adam's moments, the heads and losses, the
+checkpoints and every tape-free path stay float64. The node's value is
+forward_np's output on the input cast to GRAPH_DTYPE, bit for bit, as
+float64, and the gradients it passes back are float64.
 
 The loop is feature-major: each layer computes W.T @ h + b[:, None] on
 (features, batch), and the activation and layer norm (reducing along axis 0,
@@ -108,7 +110,9 @@ class MlpSpec:
 
 
 class Mlp:
-    """Dense network with per-layer weight/bias parameters.
+    """Dense network whose weights and biases are one float64 autodiff leaf,
+    param, laid out as w0, b0, w1, b1, ... with each weight (fan_in,
+    fan_out) in C order; arrays() gives the per-layer views.
 
     Weights are initialized N(0, 1/fan_in), biases zero; deterministic for a
     given seed.
@@ -116,31 +120,39 @@ class Mlp:
 
     def __init__(self, spec: MlpSpec, seed=0):
         self.spec = spec
-        rng = np.random.default_rng(seed)
-        self.params = []
         widths = spec.layer_widths
-        for fan_in, fan_out in zip(widths, widths[1:]):
-            w = rng.normal(0.0, 1.0 / np.sqrt(fan_in), size=(fan_in, fan_out))
-            self.params.append(ad.parameter(w))
-            self.params.append(ad.parameter(np.zeros(fan_out)))
+        shapes = [s for fan_in, fan_out in zip(widths, widths[1:])
+                  for s in ((fan_in, fan_out), (fan_out,))]
+        stops = np.cumsum([math.prod(s) for s in shapes]).tolist()
+        self._layout = list(zip([0, *stops], stops, shapes))  # (start, stop, shape)
+        self.param = ad.parameter(np.zeros(stops[-1]))
+        rng = np.random.default_rng(seed)
+        for w in self.arrays()[::2]:
+            w[...] = rng.normal(0.0, 1.0 / np.sqrt(w.shape[0]), size=w.shape)
 
     @property
     def n_layers(self):
-        return len(self.params) // 2
+        return len(self._layout) // 2
+
+    def arrays(self, flat=None):
+        """Views [w0, b0, w1, b1, ...] of flat, a vector in param's layout
+        (param.data by default)."""
+        flat = self.param.data if flat is None else flat
+        return [flat[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     def forward(self, x) -> ad.Tensor:
         """Graph-recording forward pass over x (batch, in_dim): one node with
-        parents x and the parameters. The layers and their backward run in
-        GRAPH_DTYPE, with x and the weights cast once per call; the node's
-        value is forward_np(x cast to GRAPH_DTYPE) as a C-ordered float64
-        array, and the gradients are float64. An untracked x gets no
-        gradient."""
+        parents x and param. The layers and their backward run in
+        GRAPH_DTYPE, with x and param cast once per call; the node's value
+        is forward_np(x cast to GRAPH_DTYPE) as a C-ordered float64 array,
+        and the gradients are float64, param's as one vector in its layout.
+        An untracked x gets no gradient."""
         x = ad.as_tensor(x)
         # Checked first, so a diverged parameter aborts before it pushes NaN
         # through every layer.
-        for j, p in enumerate(self.params):
-            if not np.isfinite(p.data).all():
-                raise TrainingAbort(f"non-finite values in parameter {_param_name(j)}")
+        if not np.isfinite(self.param.data).all():
+            j = next(j for j, a in enumerate(self.arrays()) if not np.isfinite(a).all())
+            raise TrainingAbort(f"non-finite values in parameter {_param_name(j)}")
         dtype = GRAPH_DTYPE
         x_in = x.data.astype(dtype, copy=False)
         saved = []
@@ -152,20 +164,21 @@ class Mlp:
             # Feature-major like the layers. The linear output layer only
             # reads g; each later g is a fresh product, so it may be written.
             g = g.T.astype(dtype, copy=False)
-            grads = [None] * len(self.params)
+            grad = np.empty_like(self.param.data)
+            grads = self.arrays(grad)
             for i in reversed(range(self.n_layers)):
                 w, pre, y, std = saved[i]
                 # A layer's input is the previous layer's output.
                 h_in = saved[i - 1][2] if i > 0 else x_in.T
                 if pre is not None:
                     g = _hidden_grad(g, pre, y, std, self.spec.activation)
-                grads[2 * i] = (h_in @ g.T).astype(np.float64, copy=False)
-                grads[2 * i + 1] = g.sum(axis=1).astype(np.float64, copy=False)
+                grads[2 * i][...] = h_in @ g.T
+                grads[2 * i + 1][...] = g.sum(axis=1)
                 g = w @ g if i > 0 or ad.tracked(x) else None
-            return (None if g is None else g.T.astype(np.float64, copy=False), *grads)
+            return None if g is None else g.T.astype(np.float64, copy=False), grad
 
         # C order, so the heads' column slices and axis=1 sums read rows.
-        return ad.make(np.ascontiguousarray(out.T, dtype=np.float64), (x, *self.params),
+        return ad.make(np.ascontiguousarray(out.T, dtype=np.float64), (x, self.param),
                        backward_fn)
 
     def forward_np(self, x) -> np.ndarray:
@@ -187,10 +200,10 @@ class Mlp:
             raise ValueError(f"expected input (batch, {self.spec.in_dim}), got {x.shape}")
         act = _swish_np if self.spec.activation == "swish" else np.tanh
         h = x.T
+        arrays = self.arrays(self.param.data.astype(dtype, copy=False))
         n = self.n_layers
         for i in range(n):
-            w = self.params[2 * i].data.astype(dtype, copy=False)
-            b = self.params[2 * i + 1].data.astype(dtype, copy=False)
+            w, b = arrays[2 * i], arrays[2 * i + 1]
             # The product is a fresh array, so the caller's x is never written.
             h = w.T @ h
             h += b[:, None]
@@ -262,7 +275,8 @@ def _hidden_grad(g, pre, y, std, activation):
 
 
 class Adam:
-    """First/second-moment adaptive update with bias correction."""
+    """First/second-moment adaptive update with bias correction, written in
+    place into each leaf's data (one vector per network) and its moments."""
 
     def __init__(self, params, learning_rate):
         if not 0 < learning_rate < math.inf:
@@ -277,15 +291,26 @@ class Adam:
         self.step_count += 1
         t = self.step_count
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.data)
-            self.m[i] = b1 * self.m[i] + (1.0 - b1) * g
-            self.v[i] = b2 * self.v[i] + (1.0 - b2) * g * g
-            m_hat = self.m[i] / (1.0 - b1**t)
-            v_hat = self.v[i] / (1.0 - b2**t)
-            p.data = p.data - self.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        for p, m, v in zip(self.params, self.m, self.v):
+            g = np.zeros_like(p.data) if p.grad is None else p.grad
+            # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and p -= lr m_hat /
+            # (sqrt(v_hat) + eps) op for op, so the bits are the formulas'. Two
+            # temporaries only: a fresh network-sized array per op made the
+            # step slower than one per-array update of each layer.
+            m *= b1
+            tmp = (1.0 - b1) * g
+            m += tmp
+            v *= b2
+            np.multiply(1.0 - b2, g, out=tmp)
+            tmp *= g
+            v += tmp
+            step = np.divide(m, 1.0 - b1**t, out=tmp)
+            denom = v / (1.0 - b2**t)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step *= self.learning_rate
+            step /= denom
+            p.data -= step
 
     def zero_grad(self):
         ad.zero_grads(self.params)
@@ -327,7 +352,7 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
                     log.flush()
         except TrainingAbort as exc:
             for p, data in zip(params, last_good):
-                p.data = data
+                np.copyto(p.data, data)
             exc.diagnostics["epoch"] = epoch
             if save:
                 save()
@@ -360,8 +385,8 @@ def gaussian_log_prob_t(raw, x) -> ad.Tensor:
     x (B, W), shape (B,), as one node over raw and x. With z = (x - mean) /
     std and g the upstream gradient, the gradients are g z / std for the
     mean, g (z^2 - 1) for the clamped log-std (see _head_grad) and -g z / std
-    for x; a raw broadcast to the batch, such as the (1, 2|Z|) prior, is
-    summed back to its shape by autodiff.backward."""
+    for x. A constant raw of one row, such as the prior's (1, 2|Z|) head,
+    broadcasts over the batch; a tracked raw must have x's rows."""
     raw, x = ad.as_tensor(raw), ad.as_tensor(x)
     mean, log_std = gaussian_head(raw.data, x.data.shape[-1])
     inv_std = np.exp(-log_std)
@@ -463,21 +488,22 @@ def _param_name(j):
 
 
 def param_arrays(nets):
-    """Parameter arrays of {prefix: Mlp} by name ("{prefix}.w0",
-    "{prefix}.b0", ...), in network order."""
-    return {f"{prefix}.{_param_name(j)}": p.data
-            for prefix, net in nets.items() for j, p in enumerate(net.params)}
+    """Views of the parameter arrays of {prefix: Mlp} by name
+    ("{prefix}.w0", "{prefix}.b0", ...), in network order."""
+    return {f"{prefix}.{_param_name(j)}": a
+            for prefix, net in nets.items() for j, a in enumerate(net.arrays())}
 
 
 def set_params(nets, arrays):
-    """Load arrays named as by param_arrays into the networks' parameters;
-    ValueError unless the names, their order and the shapes all match."""
-    params = [p for net in nets.values() for p in net.params]
-    want = [(name, a.shape) for name, a in param_arrays(nets).items()]
-    if want != [(name, a.shape) for name, a in arrays.items()]:
-        raise ValueError("parameter arrays do not match the networks in the header")
-    for p, a in zip(params, arrays.values()):
-        p.data = a
+    """Copy arrays named as by param_arrays into the networks' parameter
+    vectors, one concatenation per network; a ValueError from check_arrays
+    unless the names, their order and the shapes all match and every value
+    is finite."""
+    shapes = {name: a.shape for name, a in param_arrays(nets).items()}
+    values = iter(check_arrays("parameter arrays", arrays, shapes))
+    for net in nets.values():
+        np.concatenate([next(values).ravel() for _ in range(2 * net.n_layers)],
+                       out=net.param.data)
 
 
 def save_checkpoint(path, header: dict, arrays: dict):
@@ -550,7 +576,7 @@ def load_checkpoint(path, kind):
 
 
 def check_arrays(path, arrays, shapes):
-    """The arrays of a data artifact in `shapes` order, after checking that
+    """The arrays of an artifact in `shapes` order, after checking that
     their names are exactly `shapes`' keys, that each shape matches (a str
     dimension must take one value wherever it appears) and that every value
     is finite; a ValueError naming the file otherwise."""

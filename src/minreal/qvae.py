@@ -117,10 +117,7 @@ class QvaeModel:
                 raise ConfigError(f"decoder for {cls.name!r} does not take |Z| inputs")
 
     def parameters(self):
-        out = list(self.encoder.params)
-        for dec in self.decoders:
-            out.extend(dec.params)
-        return out
+        return [self.encoder.param, *(dec.param for dec in self.decoders)]
 
     def split_observation(self, x):
         """Split (B, obs_dim) into per-class blocks."""

@@ -119,7 +119,7 @@ class WorldModel:
         self.reward = reward
 
     def parameters(self):
-        return list(self.dynamics.params) + list(self.reward.params)
+        return [self.dynamics.param, self.reward.param]
 
     def _join(self, s, a):
         """(batch, state + action) network input, float32 when s is and
@@ -433,8 +433,8 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
         raise ValueError("train_ds and val_ds must be nonempty")
     _check_finite(train_ds, "train_ds")
     _check_finite(val_ds, "val_ds")
-    opt_dyn = Adam(model.dynamics.params, learning_rate=DYNAMICS_LEARNING_RATE)
-    opt_rew = Adam(model.reward.params, learning_rate=REWARD_LEARNING_RATE)
+    opt_dyn = Adam([model.dynamics.param], learning_rate=DYNAMICS_LEARNING_RATE)
+    opt_rew = Adam([model.reward.param], learning_rate=REWARD_LEARNING_RATE)
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
 
     def step(idx):

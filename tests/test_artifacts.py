@@ -42,7 +42,6 @@ KINDS = {
     "mask": (lambda p: latent.save_mask(p, latent.build_mask(np.array([0.3, 0.1]), 0.15)),
              latent.load_mask),
 }
-DATA_KINDS = ["transitions", "world_dataset", "mask"]
 
 
 @pytest.fixture(params=list(KINDS))
@@ -179,9 +178,11 @@ def test_network_spec_with_unknown_key(tmp_path, kind, net, key, value):
     rejects(path, load, join(magic, header, payload), key)
 
 
-@pytest.mark.parametrize("kind", DATA_KINDS)
+@pytest.mark.parametrize("kind", list(KINDS))
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_non_finite_data(tmp_path, kind, value):
+    # In a checkpoint, the last network's last bias: a NaN there once loaded
+    # silently, and the planner then ranked every candidate -inf.
     save, load = KINDS[kind]
     path = tmp_path / f"{kind}.art"
     save(path)

@@ -88,34 +88,6 @@ class TestOpGradients:
         check_op(lambda p, rng: ad.add(p, np.arange(3.0)), lambda rng: rng.normal(size=(4, 3)))
 
 
-def operand_shape(rng, full):
-    """A shape that broadcasts to `full`: a random suffix of it (leading dims
-    dropped) with random axes set to 1."""
-    suffix = full[len(full) - int(rng.integers(0, len(full) + 1)):]
-    return tuple(1 if rng.random() < 0.4 else n for n in suffix)
-
-
-@pytest.mark.parametrize("op", [ad.add])
-def test_broadcast_gradients_have_input_shapes_and_match_fd(op):
-    rng = np.random.default_rng(60)
-    for _ in range(30):
-        full = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 4)))
-        shape_a, shape_b = operand_shape(rng, full), operand_shape(rng, full)
-        a0, b0 = rng.normal(size=shape_a), rng.normal(size=shape_b)
-
-        def loss(a, b):
-            # Squared, so each output entry's gradient is distinct.
-            return ad.mean_all(square(op(a, b)))
-
-        a, b = ad.parameter(a0), ad.parameter(b0)
-        ad.backward(loss(a, b))
-        assert a.grad.shape == shape_a and b.grad.shape == shape_b
-        num_a = fd_grad(lambda arr: float(loss(arr, b0).data), a0.copy())
-        num_b = fd_grad(lambda arr: float(loss(a0, arr).data), b0.copy())
-        np.testing.assert_allclose(a.grad, num_a, rtol=1e-6, atol=1e-9)
-        np.testing.assert_allclose(b.grad, num_b, rtol=1e-6, atol=1e-9)
-
-
 class TestBackward:
     def test_sum_of_params_gradient_ones(self):
         # The sum is size times the mean.
@@ -142,6 +114,14 @@ class TestBackward:
         with pytest.raises(RuntimeError):
             ad.backward(loss)
 
+    def test_gradient_of_another_shape_than_its_input_rejected(self):
+        # No tracked input is broadcast in training, so a gradient of another
+        # shape means a wrong hand-written backward; it is not summed down.
+        p = ad.parameter(np.ones((1, 3)))
+        loss = ad.mean_all(ad.add(p, np.ones((4, 3))))
+        with pytest.raises(ValueError, match=r"shape \(4, 3\) for an input of shape \(1, 3\)"):
+            ad.backward(loss)
+
     def test_shared_subgraph_accumulates(self):
         p = ad.parameter(np.array([2.0]))
         y = square(p)
@@ -154,15 +134,15 @@ class TestBackward:
         # Mlp.forward's first dense product skips the gradient of an
         # untracked input, such as a data batch.
         net, x = self.constant_input_net()
-        for p in net.params:
-            np.testing.assert_allclose(p.grad, param_fd_grad(net, x.data, p),
-                                       rtol=1e-6, atol=1e-9)
+        np.testing.assert_allclose(net.param.grad, param_fd_grad(net, x.data),
+                                   rtol=1e-6, atol=1e-9)
 
     def test_constant_matmul_operands_get_no_gradient_float32(self, monkeypatch):
         net, x = self.constant_input_net()
-        for p in net.params:
-            numeric = in_float64(monkeypatch, lambda: param_fd_grad(net, x.data, p))
-            assert_within_largest(p.grad, numeric, F32_GRAD_TOL)
+        grads = net.arrays(net.param.grad)
+        numerics = net.arrays(in_float64(monkeypatch, lambda: param_fd_grad(net, x.data)))
+        for grad, numeric in zip(grads, numerics):
+            assert_within_largest(grad, numeric, F32_GRAD_TOL)
 
     @staticmethod
     def constant_input_net():
@@ -183,8 +163,11 @@ def mlp_loss(net, x):
     return float((out * out).mean())
 
 
-def param_fd_grad(net, x, p):
-    """Finite-difference gradient of mlp_loss(net, x) in parameter p."""
+def param_fd_grad(net, x):
+    """Finite-difference gradient of mlp_loss(net, x) in the parameter
+    vector."""
+    p = net.param
+
     def loss_at(arr):
         old, p.data = p.data, arr
         try:
@@ -199,9 +182,8 @@ class TestMlp:
     def test_zero_weight_network_outputs_bias(self):
         spec = MlpSpec((3, 4, 2), activation="tanh")
         net = Mlp(spec, seed=0)
-        for p in net.params:
-            p.data = np.zeros_like(p.data)
-        net.params[-1].data = np.array([0.5, -1.0])
+        net.param.data[...] = 0.0
+        net.arrays()[-1][...] = [0.5, -1.0]
         out = net.forward_np(np.random.default_rng(0).normal(size=(5, 3)))
         np.testing.assert_allclose(out, np.tile([0.5, -1.0], (5, 1)))
 
@@ -210,10 +192,8 @@ class TestMlp:
         # hidden layer's tanh and layer norm
         spec = MlpSpec((3, 3, 3), activation="tanh")
         net = Mlp(spec, seed=1)
-        net.params[0].data = np.eye(3)
-        net.params[1].data = np.zeros(3)
-        net.params[2].data = np.eye(3)
-        net.params[3].data = np.zeros(3)
+        w0, b0, w1, b1 = net.arrays()
+        w0[...], b0[...], w1[...], b1[...] = np.eye(3), 0.0, np.eye(3), 0.0
         v = np.array([[0.01, -0.02, 0.005]])
         t = np.tanh(v) - np.tanh(v).mean()
         expected = t / np.sqrt((t * t).mean() + 1e-5)
@@ -225,9 +205,9 @@ class TestMlp:
         forward_np computes: h is (features, batch) and layer norm reduces
         along axis 0."""
         h = x.astype(dtype).T
+        arrays = net.arrays()
         for i in range(3):
-            w = net.params[2 * i].data.astype(dtype)
-            b = net.params[2 * i + 1].data.astype(dtype)
+            w, b = arrays[2 * i].astype(dtype), arrays[2 * i + 1].astype(dtype)
             h = w.T @ h + b[:, None]
             if i < 2:
                 h = h / (1.0 + np.exp(-h))
@@ -298,10 +278,20 @@ class TestMlp:
         net = Mlp(MlpSpec((3, 6, 5, 4)), seed=1)
         x = ad.parameter(np.ones((2, 3)))
         out = net.forward(x)
-        assert len(out._parents) == 1 + 2 * net.n_layers
-        assert out._parents[0] is x
-        assert all(a is b for a, b in zip(out._parents[1:], net.params))
+        assert len(out._parents) == 2
+        assert out._parents[0] is x and out._parents[1] is net.param
         assert all(p._parents == () for p in out._parents)
+
+    def test_gradient_is_one_vector_in_the_parameter_layout(self):
+        # The layers' gradients are views of one float64 vector laid out as
+        # param, so the optimizer updates each network with one array op.
+        net = Mlp(MlpSpec((3, 6, 5, 4)), seed=1)
+        out = net.forward(np.ones((2, 3)))
+        _, grad = out._backward(np.ones_like(out.data))
+        assert grad.shape == net.param.data.shape and grad.dtype == np.float64
+        views = net.arrays(grad)
+        assert [v.shape for v in views] == [a.shape for a in net.arrays()]
+        assert all(np.shares_memory(v, grad) for v in views)
 
     def test_forward_bitwise_deterministic(self):
         spec = MlpSpec((4, 8, 2))
@@ -323,8 +313,8 @@ class TestMlp:
             out = net.forward(x)
             ad.backward(ad.mean_all(square(out)))
             yield x.grad, fd(lambda: fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))
-            for p in net.params:
-                yield p.grad, fd(lambda: param_fd_grad(net, x0, p))
+            numeric = net.arrays(fd(lambda: param_fd_grad(net, x0)))
+            yield from zip(net.arrays(net.param.grad), numeric)
 
     @pytest.mark.usefixtures("float64_graph")
     def test_mlp_gradient_check(self):
@@ -345,7 +335,7 @@ class TestMlp:
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_parameter_aborts_before_arithmetic(self, value):
         net = Mlp(MlpSpec((3, 4, 4, 2)))
-        net.params[2].data[1, 1] = value  # layer 1's weight
+        net.arrays()[2][1, 1] = value  # layer 1's weight
         # a RuntimeWarning from matmul or layer norm would fail the test
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
@@ -364,14 +354,12 @@ class TestMlp:
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         net = Mlp(MlpSpec((2, 3, 1)), seed=0)
-        before = [p.data.copy() for p in net.params]
-        opt = Adam(net.params, learning_rate=0.1)
+        before = net.param.data.copy()
+        opt = Adam([net.param], learning_rate=0.1)
         for _ in range(5):
-            for p in net.params:
-                p.grad = np.zeros_like(p.data)
+            net.param.grad = np.zeros_like(net.param.data)
             opt.step()
-        for p, b in zip(net.params, before):
-            assert np.max(np.abs(p.data - b)) <= 1e-12
+        assert np.max(np.abs(net.param.data - before)) <= 1e-12
 
     def test_constant_gradient_moves_against_sign(self):
         p = ad.parameter(np.zeros(3))
@@ -399,10 +387,38 @@ class TestAdam:
         with pytest.raises(ConfigError, match="learning rate"):
             Adam([ad.parameter(np.zeros(2))], learning_rate=learning_rate)
 
+    def test_bitwise_equal_to_the_per_array_formula(self):
+        # The oracle: the per-array update, written as expressions, on each
+        # layer's view. Leaves of the paper-config q-VAE's sizes (encoder
+        # and both decoders); the last gets no gradient every third step.
+        b1, b2, lr = nets.ADAM_BETA1, nets.ADAM_BETA2, 1e-3
+        widths = [(260, 128, 64, 40), (20, 64, 128, 8), (20, 64, 128, 256)]
+        mlps = [Mlp(MlpSpec(w), seed=i) for i, w in enumerate(widths)]
+        opt = Adam([net.param for net in mlps], learning_rate=lr)
+        ref = [[a.copy() for a in net.arrays()] for net in mlps]
+        m = [[np.zeros_like(a) for a in r] for r in ref]
+        v = [[np.zeros_like(a) for a in r] for r in ref]
+        rng = np.random.default_rng(8)
+        for t in range(1, 31):
+            for k, net in enumerate(mlps):
+                net.param.grad = (None if k == 2 and t % 3 == 0 else
+                                  rng.normal(size=net.param.data.shape) * 10.0 ** rng.uniform(-4, 1))
+            opt.step()
+            for k, net in enumerate(mlps):
+                grad = net.param.grad
+                grads = net.arrays(np.zeros_like(net.param.data) if grad is None else grad)
+                for i, g in enumerate(grads):
+                    m[k][i] = b1 * m[k][i] + (1.0 - b1) * g
+                    v[k][i] = b2 * v[k][i] + (1.0 - b2) * g * g
+                    m_hat = m[k][i] / (1.0 - b1**t)
+                    v_hat = v[k][i] / (1.0 - b2**t)
+                    ref[k][i] = ref[k][i] - lr * m_hat / (np.sqrt(v_hat) + nets.ADAM_EPS)
+                assert net.param.data.tobytes() == b"".join(a.tobytes() for a in ref[k])
+
     def test_deterministic_given_state(self):
         def run():
             net = Mlp(MlpSpec((2, 4, 1)), seed=3)
-            opt = Adam(net.params, learning_rate=0.01)
+            opt = Adam([net.param], learning_rate=0.01)
             x = np.linspace(-1, 1, 8).reshape(4, 2)
             for _ in range(10):
                 opt.zero_grad()
@@ -410,7 +426,7 @@ class TestAdam:
                 loss = ad.mean_all(square(out))
                 ad.backward(loss)
                 opt.step()
-            return np.concatenate([p.data.ravel() for p in net.params])
+            return net.param.data.copy()
 
         a, b = run(), run()
         assert a.tobytes() == b.tobytes()

@@ -79,7 +79,7 @@ def test_mlp_gradients_match_float64(monkeypatch, observations):
     net = qvae.build_qvae(CLASSES, 20, PAPER_QPARAMS).encoder
     x = ad.parameter(observations[:256])
     assert_gate(monkeypatch, lambda: ad.mean_all(square(net.forward(x))),
-                [x, *net.params], loss_rtol=2e-7)
+                [x, net.param], loss_rtol=2e-7)
 
 
 def test_qvae_loss_gradients_match_float64(monkeypatch, observations):

@@ -135,12 +135,9 @@ class TestGaussianLogProb:
         x = (mean + rng.uniform(0.5, 1.5, size=mean.size) * std)[None, :]
         assert_gradient_near_at_and_beyond_clamp(lambda arr: gaussian_log_prob_t(arr, x), mean)
 
-    @pytest.mark.parametrize("stat_rows", [3, 1], ids=["per_row", "broadcast"])
-    def test_gradients_of_mean_log_std_and_tracked_x(self, stat_rows):
-        # stat_rows = 1: a (1, 2|Z|) raw head, such as the prior's,
-        # broadcast over the batch; its gradient sums over it.
+    def test_gradients_of_mean_log_std_and_tracked_x(self):
         rng = np.random.default_rng(11)
-        args = [np.hstack([rng.normal(size=(stat_rows, 4)), rng.uniform(-1, 1, (stat_rows, 4))]),
+        args = [np.hstack([rng.normal(size=(3, 4)), rng.uniform(-1, 1, (3, 4))]),
                 rng.normal(size=(3, 4))]
         for i in range(2):
             def build(arr, i=i):
@@ -432,8 +429,7 @@ class TestCheckpoint:
         assert list(arrays) == ["net.w0", "net.b0", "net.w1", "net.b1"]
         restored = Mlp(MlpSpec(**header["spec"]), seed=0)
         set_params({"net": restored}, arrays)
-        for a, b in zip(net.params, restored.params):
-            assert a.data.tobytes() == b.data.tobytes()
+        assert net.param.data.tobytes() == restored.param.data.tobytes()
 
     def test_rejects_non_checkpoint(self, tmp_path):
         path = tmp_path / "junk.bin"

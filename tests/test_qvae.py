@@ -66,9 +66,10 @@ def tiny_batch(model, n, seed=0):
 def mlp_forward_oracle(net, x):
     """Straight-line MLP forward, independent of the graph machinery."""
     h = np.asarray(x, dtype=np.float64)
+    arrays = net.arrays()
     n = net.n_layers
     for i in range(n):
-        h = h @ net.params[2 * i].data + net.params[2 * i + 1].data
+        h = h @ arrays[2 * i] + arrays[2 * i + 1]
         if i < n - 1:
             if net.spec.activation == "swish":
                 h = h / (1.0 + np.exp(-h))
@@ -162,11 +163,8 @@ def assert_loss_gradient_matches_fd(model, x, noise, monkeypatch=None):
 class TestEncodeDecode:
     def test_zero_weight_encoder(self):
         model = tiny_model()
-        for p in model.encoder.params:
-            p.data = np.zeros_like(p.data)
-        model.encoder.params[-1].data = np.concatenate(
-            [np.full(3, 0.25), np.full(3, -9.0)]
-        )
+        model.encoder.param.data[...] = 0.0
+        model.encoder.arrays()[-1][...] = np.concatenate([np.full(3, 0.25), np.full(3, -9.0)])
         belief = model.encode(np.zeros((2, model.obs_dim)))
         np.testing.assert_allclose(belief.mean, 0.25)
         np.testing.assert_allclose(belief.log_std, -6.0)  # clamped bias
@@ -207,9 +205,8 @@ class TestEncodeDecode:
     def test_zero_weight_cb_decoder(self):
         model = tiny_model()
         dec = model.decoders[1]
-        for p in dec.params:
-            p.data = np.zeros_like(p.data)
-        dec.params[-1].data = np.full(4, 0.8)
+        dec.param.data[...] = 0.0
+        dec.arrays()[-1][...] = 0.8
         out = model.decode(np.zeros((1, 3)))
         np.testing.assert_allclose(out[1], 1.0 / (1.0 + np.exp(-0.8)))
 
@@ -228,7 +225,7 @@ class TestEncodeDecode:
         # decode's in-place sigmoid against the expression it replaced, on
         # logits both inside and beyond the clamp
         model = tiny_model(seed=6)
-        model.decoders[1].params[-1].data = np.array([-30.0, -1.0, 2.0, 30.0])
+        model.decoders[1].arrays()[-1][...] = [-30.0, -1.0, 2.0, 30.0]
         z = np.random.default_rng(4).normal(size=(50, 3))
         raw = model.decoders[1].forward_np(z)
         expected = 1.0 / (1.0 + np.exp(-np.clip(raw, -CB_LOGIT_CLAMP, CB_LOGIT_CLAMP)))
@@ -357,10 +354,9 @@ class TestLoss:
         rng = np.random.default_rng(25)
         data = rng.normal(size=width)
         for net in (model.encoder, model.decoders[0]):
-            for p in net.params:
-                p.data = np.zeros_like(p.data)
+            net.param.data[...] = 0.0
         # z = noise, so (1 - q) * log p(z) and (1 - q) * log p(z|x) stay < 0
-        model.decoders[0].params[-1].data = np.concatenate([data, np.full(width, -6.0)])
+        model.decoders[0].arrays()[-1][...] = np.concatenate([data, np.full(width, -6.0)])
         x = np.tile(data, (rows, 1))
         noise = rng.standard_normal((rows, 3))
         log_p = width * (6.0 - 0.5 * np.log(2 * np.pi))
@@ -692,9 +688,7 @@ class TestTraining:
     def test_abort_saves_last_good_checkpoint(self, tmp_path):
         model = tiny_model(seed=20)
         x, _ = tiny_batch(model, 32, seed=14)
-        model.encoder.params[0].data = np.full_like(
-            model.encoder.params[0].data, np.inf
-        )
+        model.encoder.arrays()[0][...] = np.inf
         # the poisoned weights blow up the forward pass on the first batch
         with pytest.raises(TrainingAbort):
             train_qvae(

@@ -9,6 +9,7 @@ import pytest
 
 from minreal import qvae, world
 from minreal.errors import ConfigError, TrainingAbort
+from minreal.nets import param_arrays
 from test_qvae import QP_TABLE, QP_VAE, tiny_batch, tiny_model
 from test_world import make_dataset
 
@@ -68,6 +69,37 @@ def test_abort_restores_last_whole_epoch_and_saves(stage, abort_epoch, abort_bat
     assert info.value.diagnostics["epoch"] == abort_epoch
     assert param_bytes(model) == param_bytes(ref)
     assert param_bytes(load(path)) == param_bytes(ref)
+
+
+def assert_arrays_are_views(stage, model):
+    """Each network's named arrays, which its checkpoint writes, are views of
+    the network's one parameter vector."""
+    for prefix, net in STAGES[stage][0]._nets(model).items():
+        for a in param_arrays({prefix: net}).values():
+            assert np.shares_memory(a, net.param.data)
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_parameters_stay_one_vector_per_network(stage, tmp_path, monkeypatch):
+    module, loss_name, load = STAGES[stage]
+    model, train = make_run(stage)
+    vectors = [p.data for p in model.parameters()]
+    assert len(vectors) == {"qvae": 3, "world": 2}[stage]
+    train(2)
+    # Adam and the epoch snapshots work in place.
+    assert all(p.data is v for p, v in zip(model.parameters(), vectors))
+    assert_arrays_are_views(stage, model)
+
+    def aborting(*args):
+        raise TrainingAbort("injected")
+
+    monkeypatch.setattr(module, loss_name, aborting)
+    path = tmp_path / "abort.ckpt"
+    with pytest.raises(TrainingAbort):
+        train(1, ckpt_path=path)
+    assert all(p.data is v for p, v in zip(model.parameters(), vectors))
+    assert_arrays_are_views(stage, model)
+    assert_arrays_are_views(stage, load(path))
 
 
 def test_one_log_holds_both_stages_in_order(tmp_path):

@@ -170,9 +170,8 @@ def constant_world_model(mean_bias=0.0, ls_bias=0.0, r_bias=0.0, r_ls_bias=0.0):
     model = build_world_model(1, 1, dyn_hidden=(4, 4), rew_hidden=(4, 4), seed=0)
     for net, biases in ((model.dynamics, (mean_bias, ls_bias)),
                         (model.reward, (r_bias, r_ls_bias))):
-        for p in net.params:
-            p.data = np.zeros_like(p.data)
-        net.params[-1].data = np.array(biases)
+        net.param.data[...] = 0.0
+        net.arrays()[-1][...] = biases
     return model
 
 
@@ -252,8 +251,8 @@ class TestWmLoss:
         loss, graph = wm_loss(model, ds)
         _, dyn, rew = heldout_nll(model, ds)
         ad.backward(loss)
-        assert model.dynamics.params[-1].grad[1] == 0.0
-        assert model.reward.params[-1].grad[1] == 0.0
+        for net in (model.dynamics, model.reward):
+            assert net.arrays(net.param.grad)[-1][1] == 0.0
         return graph, (dyn, rew)
 
     # The clamped biases score as the bracket's ends, 2.0 and -6.0: at the
