@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation on float64 numpy arrays.
 
-A Tensor wraps an ndarray plus an optional gradient slot; every op below
-records a closure that maps the upstream gradient to per-input gradients.
+A Tensor wraps an ndarray; every op below records a closure that maps the
+upstream gradient to per-input gradients.
 make() builds every node. nets and qvae build their fused nodes with it too:
 one per network over its one parameter leaf (Mlp.forward), one per
 likelihood head (gaussian_log_prob_t, cb_log_prob_t), one per
@@ -9,8 +9,9 @@ reparameterized sample (reparam_sample) and one per deformed chain
 (qvae._deformed_sum_t), each with a hand-written backward from its net's
 raw output. The ops here are only the add, mean and negation that finish
 the losses.
-backward() walks the recorded graph once from a scalar loss; calling it
-again on the same loss without rebuilding the graph is an error.
+backward() walks the recorded graph once from a scalar loss and returns the
+gradients of the leaves it is given; calling it again on the same loss
+without rebuilding the graph is an error.
 
 Single-threaded during a forward/backward pass; distinct graphs are
 independent, and inference over plain ndarrays never touches the tape.
@@ -22,11 +23,10 @@ import numpy as np
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward", "_consumed")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = _parents
         self._backward = _backward
@@ -37,7 +37,7 @@ class Tensor:
 
 
 def parameter(data):
-    """A trainable leaf: participates in backward() and accumulates .grad."""
+    """A trainable leaf, whose gradient backward() returns."""
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
@@ -83,8 +83,10 @@ def mean_all(a):
     )
 
 
-def backward(loss: Tensor):
-    """Reverse pass from a scalar loss; fills .grad on trainable leaves.
+def backward(loss: Tensor, leaves):
+    """Reverse pass from a scalar loss: the gradient of each of `leaves`,
+    in order, as a float64 array of its shape, zeros for a leaf the loss
+    does not reach.
 
     Raises if loss is not a scalar, if called twice on the same graph, or
     if a node's gradient has another shape than its tracked input: no
@@ -114,16 +116,13 @@ def backward(loss: Tensor):
 
     # `order` keeps every node alive for the whole pass, so id() keys are stable.
     grads = {id(loss): np.ones_like(loss.data)}
+    leaf_grads = {}
     for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.requires_grad:
-            if node.grad is None:
-                node.grad = g.copy()
-            else:
-                node.grad = node.grad + g
-        if node._backward is None:
+        if node._backward is None:  # a parameter: nothing to pass back
+            leaf_grads[id(node)] = g
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node._parents, parent_grads):
@@ -137,8 +136,5 @@ def backward(loss: Tensor):
                 grads[key] = grads[key] + pg
             else:
                 grads[key] = pg
-
-
-def zero_grads(params):
-    for p in params:
-        p.grad = None
+    return [leaf_grads[id(leaf)] if id(leaf) in leaf_grads else np.zeros_like(leaf.data)
+            for leaf in leaves]

@@ -169,8 +169,8 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
 
     Returns (first action, PlanDiagnostics). With a fixed seed and no time
     budget the result is deterministic. If no iteration completes, the
-    initial policy mean is returned with a warning flag. A non-finite s0 is
-    a ValueError.
+    initial policy mean is returned with a warning flag. A non-finite s0, or
+    an iteration that scores no candidate finite, is a ValueError.
     """
     if not np.isfinite(s0).all():
         raise ValueError(f"s0 must be finite, got {s0}")
@@ -193,6 +193,8 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
         candidates = sample_candidates(policy, config.candidates, config.action_low,
                                        config.action_high, rng)
         scores = rollout_batch(model, s0, candidates.astype(np.float32))
+        if not np.isfinite(scores).any():
+            raise ValueError(f"no candidate scored finite in iteration {iters + 1}")
         elite_idx = select_elites(scores, config.elite_ratio)
         best_score = max(best_score, float(scores[elite_idx[0]]))
         # Refitted in candidate order: the policy depends on the elite set

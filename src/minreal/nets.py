@@ -1,7 +1,7 @@
-"""Dense networks, the Adam optimizer, the training loop both stages run
-(fit), the diagonal-Gaussian head with its log-std clamp, Gaussian and
-continuous-Bernoulli log-likelihoods, reparameterized sampling, and the
-artifact container that every saved model, dataset and mask uses.
+"""Dense networks, Adam, the training loop both stages run (fit, which
+steps Adam on the gradients autodiff.backward returns), the diagonal-Gaussian
+head with its log-std clamp, Gaussian and continuous-Bernoulli log-likelihoods,
+reparameterized sampling, and the container of every saved artifact.
 
 The Gaussian head split and its log-std clamp (gaussian_head) is one
 plain-numpy function, which inference and the Gaussian nodes share. Each
@@ -86,6 +86,8 @@ class MlpSpec:
     activation: str = "swish"
 
     def __post_init__(self):
+        if any(type(w) is bool or not isinstance(w, (int, np.integer)) for w in self.layer_widths):
+            raise ConfigError(f"layer widths must be integers, got {self.layer_widths}")
         object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
         if len(self.layer_widths) < 3:
             raise ConfigError(
@@ -278,21 +280,25 @@ class Adam:
     """First/second-moment adaptive update with bias correction, written in
     place into each leaf's data (one vector per network) and its moments."""
 
-    def __init__(self, params, learning_rate):
-        if not 0 < learning_rate < math.inf:
-            raise ConfigError(f"learning rate must be positive and finite, got {learning_rate}")
+    def __init__(self, params, learning_rates):
         self.params = list(params)
-        self.learning_rate = float(learning_rate)
+        self.learning_rates = [float(lr) for lr in learning_rates]
+        if (len(self.learning_rates) != len(self.params)
+                or not all(0 < lr < math.inf for lr in self.learning_rates)):
+            raise ConfigError(f"need one positive, finite learning rate per parameter, "
+                              f"got {learning_rates}")
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
 
-    def step(self):
+    def step(self, grads):
+        """One update from grads, one per leaf in params' order, each leaf at
+        its own learning rate."""
         self.step_count += 1
         t = self.step_count
         b1, b2 = ADAM_BETA1, ADAM_BETA2
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = np.zeros_like(p.data) if p.grad is None else p.grad
+        for p, lr, m, v, g in zip(self.params, self.learning_rates, self.m, self.v, grads,
+                                  strict=True):
             # m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and p -= lr m_hat /
             # (sqrt(v_hat) + eps) op for op, so the bits are the formulas'. Two
             # temporaries only: a fresh network-sized array per op made the
@@ -308,24 +314,22 @@ class Adam:
             denom = v / (1.0 - b2**t)
             np.sqrt(denom, out=denom)
             denom += ADAM_EPS
-            step *= self.learning_rate
+            step *= lr
             step /= denom
             p.data -= step
 
-    def zero_grad(self):
-        ad.zero_grads(self.params)
 
-
-def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=None,
+def fit(opt, n, epochs, batch_size, rng, loss, summarize, stage, log_path=None,
         save=None):
     """The minibatch loop every training stage runs; returns the epoch records.
 
-    Each epoch draws rng.permutation(n), calls step(idx) on each batch of at
-    most batch_size of those indices in turn, and makes the epoch's record
-    with summarize(epoch, the list of step's returns). With log_path, each
+    Each epoch draws rng.permutation(n). For each batch of at most batch_size
+    of those indices in turn, loss(idx) gives (loss tensor, record) and opt,
+    the stage's Adam, steps once on backward's gradients of opt.params.
+    summarize(epoch, the records) makes the epoch's record. With log_path, each
     record is appended to that file as one JSON line {"stage", "epoch",
     "record"} (an object as its attribute dict, NaN as NaN) and flushed, so
-    the stages of a run can share one log. On TrainingAbort the parameters
+    the stages of a run can share one log. On TrainingAbort opt.params
     are restored to their values after the last whole epoch (the start if
     none finished), the exception's diagnostics get the epoch it arose in
     (counted from 1) as "epoch", save() is called and the exception
@@ -337,21 +341,27 @@ def fit(params, n, epochs, batch_size, rng, step, summarize, stage, log_path=Non
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     if epochs < 0:
         raise ConfigError(f"epochs must be non-negative, got {epochs}")
+
+    def step(idx):
+        loss_t, record = loss(idx)
+        opt.step(ad.backward(loss_t, opt.params))
+        return record  # loss_t's graph dies here, before the next batch's forward
+
     records = []
-    last_good = [p.data.copy() for p in params]
+    last_good = [p.data.copy() for p in opt.params]
     with open(log_path, "a") if log_path else contextlib.nullcontext() as log:
         try:
             for epoch in range(1, epochs + 1):
                 order = rng.permutation(n)
                 outs = [step(order[i : i + batch_size]) for i in range(0, n, batch_size)]
                 records.append(summarize(epoch, outs))
-                last_good = [p.data.copy() for p in params]
+                last_good = [p.data.copy() for p in opt.params]
                 if log:
                     line = {"stage": stage, "epoch": epoch, "record": records[-1]}
                     log.write(json.dumps(line, default=vars) + "\n")
                     log.flush()
         except TrainingAbort as exc:
-            for p, data in zip(params, last_good):
+            for p, data in zip(opt.params, last_good):
                 np.copyto(p.data, data)
             exc.diagnostics["epoch"] = epoch
             if save:

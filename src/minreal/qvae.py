@@ -386,16 +386,13 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
             "must be nonincreasing"
         )
 
-    opt = Adam(model.parameters(), learning_rate=cfg.learning_rate)
+    opt = Adam(model.parameters(), [cfg.learning_rate] * len(model.parameters()))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x71AE]))
 
-    def step(idx):
+    def batch_loss(idx):
         noise = rng.standard_normal((idx.size, model.latent_dim))
         loss, bd = qvae_loss(model, x_data[idx], noise)
-        opt.zero_grad()
-        ad.backward(loss)
-        opt.step()
-        return idx.size, bd
+        return loss, (idx.size, bd)
 
     def summarize(epoch, outs):
         tot = np.zeros(3 + len(model.classes))  # total, recon_c.., prior, entropy
@@ -409,8 +406,8 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
                              saturation_count=sum(bd.saturation_count for _, bd in outs))
 
     save = functools.partial(save_qvae, ckpt_path, model) if ckpt_path else None
-    return fit(model.parameters(), x_data.shape[0], cfg.epochs, cfg.batch_size, rng,
-               step, summarize, "qvae", log_path, save)
+    return fit(opt, x_data.shape[0], cfg.epochs, cfg.batch_size, rng, batch_loss,
+               summarize, "qvae", log_path, save)
 
 
 # --- model construction and persistence ------------------------------------

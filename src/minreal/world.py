@@ -433,19 +433,13 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
         raise ValueError("train_ds and val_ds must be nonempty")
     _check_finite(train_ds, "train_ds")
     _check_finite(val_ds, "val_ds")
-    opt_dyn = Adam([model.dynamics.param], learning_rate=DYNAMICS_LEARNING_RATE)
-    opt_rew = Adam([model.reward.param], learning_rate=REWARD_LEARNING_RATE)
+    opt = Adam(model.parameters(), [DYNAMICS_LEARNING_RATE, REWARD_LEARNING_RATE])
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
 
-    def step(idx):
+    def batch_loss(idx):
         batch = WorldDataset(*(getattr(train_ds, name)[idx] for name in _DATASET_SHAPES))
         loss, (dyn_nll, rew_nll) = wm_loss(model, batch)
-        opt_dyn.zero_grad()
-        opt_rew.zero_grad()
-        ad.backward(loss)
-        opt_dyn.step()
-        opt_rew.step()
-        return idx.size, dyn_nll, rew_nll
+        return loss, (idx.size, dyn_nll, rew_nll)
 
     def summarize(epoch, outs):
         seen = sum(w for w, _, _ in outs)
@@ -463,8 +457,8 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
         }
 
     save = functools.partial(save_world, ckpt_path, model) if ckpt_path else None
-    return fit(model.parameters(), len(train_ds), cfg.epochs, cfg.batch_size, rng,
-               step, summarize, "world", log_path, save)
+    return fit(opt, len(train_ds), cfg.epochs, cfg.batch_size, rng, batch_loss,
+               summarize, "world", log_path, save)
 
 
 # --- persistence ---------------------------------------------------------

@@ -77,10 +77,10 @@ def check_op(build, x0, seeds=(0, 1, 2), rel=1e-4):
 
         p = ad.parameter(x.copy())
         out = ad.mean_all(build(p, np.random.default_rng(seed + 1000)))
-        ad.backward(out)
+        (grad,) = ad.backward(out, [p])
         num = fd_grad(scalar, x.copy())
-        denom = np.maximum(np.abs(p.grad) + np.abs(num), 1e-6)
-        assert np.max(np.abs(p.grad - num) / denom) <= rel
+        denom = np.maximum(np.abs(grad) + np.abs(num), 1e-6)
+        assert np.max(np.abs(grad - num) / denom) <= rel
 
 
 class TestOpGradients:
@@ -92,27 +92,27 @@ class TestBackward:
     def test_sum_of_params_gradient_ones(self):
         # The sum is size times the mean.
         p = ad.parameter(np.arange(6.0).reshape(2, 3))
-        ad.backward(ad.mean_all(p))
-        np.testing.assert_allclose(p.grad * p.data.size, np.ones((2, 3)))
+        (grad,) = ad.backward(ad.mean_all(p), [p])
+        np.testing.assert_allclose(grad * p.data.size, np.ones((2, 3)))
 
     def test_half_norm_gradient_is_p(self):
         # Half the squared norm is size / 2 times the mean square.
         x = np.array([[1.0, -2.0, 0.5]])
         p = ad.parameter(x)
-        ad.backward(ad.mean_all(square(p)))
-        np.testing.assert_allclose(p.grad * (0.5 * p.data.size), x)
+        (grad,) = ad.backward(ad.mean_all(square(p)), [p])
+        np.testing.assert_allclose(grad * (0.5 * p.data.size), x)
 
     def test_non_scalar_rejected(self):
         p = ad.parameter(np.ones((2, 2)))
         with pytest.raises(ValueError):
-            ad.backward(square(p))
+            ad.backward(square(p), [p])
 
     def test_double_backward_rejected(self):
         p = ad.parameter(np.ones(3))
         loss = ad.mean_all(square(p))
-        ad.backward(loss)
+        ad.backward(loss, [p])
         with pytest.raises(RuntimeError):
-            ad.backward(loss)
+            ad.backward(loss, [p])
 
     def test_gradient_of_another_shape_than_its_input_rejected(self):
         # No tracked input is broadcast in training, so a gradient of another
@@ -120,41 +120,60 @@ class TestBackward:
         p = ad.parameter(np.ones((1, 3)))
         loss = ad.mean_all(ad.add(p, np.ones((4, 3))))
         with pytest.raises(ValueError, match=r"shape \(4, 3\) for an input of shape \(1, 3\)"):
-            ad.backward(loss)
+            ad.backward(loss, [p])
 
     def test_shared_subgraph_accumulates(self):
         p = ad.parameter(np.array([2.0]))
         y = square(p)
         loss = ad.mean_all(ad.add(y, y))  # 2 p^2 -> d/dp = 4p
-        ad.backward(loss)
-        np.testing.assert_allclose(p.grad, [8.0])
+        (grad,) = ad.backward(loss, [p])
+        np.testing.assert_allclose(grad, [8.0])
+
+    def test_gradients_are_returned_in_the_order_of_leaves(self):
+        # mean(a^2 - b) over 3 entries: 2a / 3 for a and -1/3 for b.
+        a = ad.parameter(np.array([1.0, -2.0, 0.5]))
+        b = ad.parameter(np.array([4.0, 5.0, 6.0]))
+        loss = ad.mean_all(ad.add(square(a), ad.neg(b)))
+        grad_b, grad_a = ad.backward(loss, [b, a])
+        assert grad_a.dtype == grad_b.dtype == np.float64
+        np.testing.assert_allclose(grad_a, 2.0 * a.data / 3.0, rtol=1e-15)
+        np.testing.assert_allclose(grad_b, np.full(3, -1.0 / 3.0), rtol=1e-15)
+
+    def test_leaf_the_loss_does_not_reach_gets_zeros(self):
+        # Adam then steps that leaf on a zero gradient.
+        p = ad.parameter(np.array([2.0]))
+        unreached = ad.parameter(np.ones((2, 3)))
+        grad, zeros = ad.backward(ad.mean_all(square(p)), [p, unreached])
+        np.testing.assert_allclose(grad, [4.0])
+        assert zeros.shape == (2, 3) and zeros.dtype == np.float64
+        assert not zeros.any()
 
     @pytest.mark.usefixtures("float64_graph")
     def test_constant_matmul_operands_get_no_gradient(self):
         # Mlp.forward's first dense product skips the gradient of an
         # untracked input, such as a data batch.
-        net, x = self.constant_input_net()
-        np.testing.assert_allclose(net.param.grad, param_fd_grad(net, x.data),
+        net, x, grad = self.constant_input_net()
+        np.testing.assert_allclose(grad, param_fd_grad(net, x.data),
                                    rtol=1e-6, atol=1e-9)
 
     def test_constant_matmul_operands_get_no_gradient_float32(self, monkeypatch):
-        net, x = self.constant_input_net()
-        grads = net.arrays(net.param.grad)
+        net, x, grad = self.constant_input_net()
+        grads = net.arrays(grad)
         numerics = net.arrays(in_float64(monkeypatch, lambda: param_fd_grad(net, x.data)))
         for grad, numeric in zip(grads, numerics):
             assert_within_largest(grad, numeric, F32_GRAD_TOL)
 
     @staticmethod
     def constant_input_net():
-        """A net after backward from mean(net(x)^2) at a constant x, which
-        gets no gradient."""
+        """(net, x, the parameter gradient) of backward from mean(net(x)^2)
+        at a constant x, which gets no gradient."""
         net = Mlp(MlpSpec((3, 5, 2), activation="tanh"), seed=3)
         x = ad.constant(np.random.default_rng(3).normal(size=(4, 3)))
         out = net.forward(x)
         assert out._backward(np.ones_like(out.data))[0] is None
-        ad.backward(ad.mean_all(square(out)))
-        assert x.grad is None
-        return net, x
+        x_grad, grad = ad.backward(ad.mean_all(square(out)), [x, net.param])
+        assert not x_grad.any()
+        return net, x, grad
 
 
 def mlp_loss(net, x):
@@ -311,10 +330,10 @@ class TestMlp:
             x0 = np.random.default_rng(seed + 10).normal(size=(4, 3))
             x = ad.parameter(x0)
             out = net.forward(x)
-            ad.backward(ad.mean_all(square(out)))
-            yield x.grad, fd(lambda: fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))
+            x_grad, grad = ad.backward(ad.mean_all(square(out)), [x, net.param])
+            yield x_grad, fd(lambda: fd_grad(lambda arr: mlp_loss(net, arr), x0.copy()))
             numeric = net.arrays(fd(lambda: param_fd_grad(net, x0)))
-            yield from zip(net.arrays(net.param.grad), numeric)
+            yield from zip(net.arrays(grad), numeric)
 
     @pytest.mark.usefixtures("float64_graph")
     def test_mlp_gradient_check(self):
@@ -349,35 +368,39 @@ class TestMlp:
             MlpSpec((3, 0, 2))
         with pytest.raises(ConfigError):
             MlpSpec((3, 4, 2), activation="relu")
+        # int() once truncated 3.9 to 3 and turned True into 1.
+        for widths in [(3.9, 4, 2.2), (3, 4.0, 2), (3, True, 2), (np.float64(3), 4, 2)]:
+            with pytest.raises(ConfigError, match="integer"):
+                MlpSpec(widths)
+        spec = MlpSpec((np.int64(3), np.int32(4), 2))
+        assert spec.layer_widths == (3, 4, 2)
+        assert all(type(w) is int for w in spec.layer_widths)
 
 
 class TestAdam:
     def test_zero_gradient_no_motion(self):
         net = Mlp(MlpSpec((2, 3, 1)), seed=0)
         before = net.param.data.copy()
-        opt = Adam([net.param], learning_rate=0.1)
+        opt = Adam([net.param], [0.1])
         for _ in range(5):
-            net.param.grad = np.zeros_like(net.param.data)
-            opt.step()
+            opt.step([np.zeros_like(net.param.data)])
         assert np.max(np.abs(net.param.data - before)) <= 1e-12
 
     def test_constant_gradient_moves_against_sign(self):
         p = ad.parameter(np.zeros(3))
-        opt = Adam([p], learning_rate=0.01)
+        opt = Adam([p], [0.01])
         g = np.array([1.0, -2.0, 0.5])
         for _ in range(50):
-            p.grad = g.copy()
-            opt.step()
+            opt.step([g.copy()])
         assert np.all(np.sign(p.data) == -np.sign(g))
 
     def test_first_step_magnitude_matches_closed_form(self):
         # t=1: m_hat = g, v_hat = g^2, step = lr * g / (|g| + eps) ~ lr*sign(g)
         p = ad.parameter(np.array([3.0, -1.0]))
         lr = 0.05
-        opt = Adam([p], learning_rate=lr)
+        opt = Adam([p], [lr])
         g = np.array([0.7, -0.2])
-        p.grad = g.copy()
-        opt.step()
+        opt.step([g.copy()])
         expected = np.array([3.0, -1.0]) - lr * g / (np.abs(g) + 1e-8)
         np.testing.assert_allclose(p.data, expected, rtol=1e-12)
 
@@ -385,29 +408,38 @@ class TestAdam:
     def test_learning_rate_must_be_positive_and_finite(self, learning_rate):
         # NaN once passed, because nan <= 0 is False.
         with pytest.raises(ConfigError, match="learning rate"):
-            Adam([ad.parameter(np.zeros(2))], learning_rate=learning_rate)
+            Adam([ad.parameter(np.zeros(2))], [learning_rate])
+
+    def test_one_learning_rate_and_one_gradient_per_leaf(self):
+        leaves = [ad.parameter(np.zeros(2)), ad.parameter(np.zeros(3))]
+        with pytest.raises(ConfigError, match="learning rate per parameter"):
+            Adam(leaves, [1e-3])
+        opt = Adam(leaves, [1e-3, 1e-3])
+        with pytest.raises(ValueError):
+            opt.step([np.ones(2)])
 
     def test_bitwise_equal_to_the_per_array_formula(self):
         # The oracle: the per-array update, written as expressions, on each
         # layer's view. Leaves of the paper-config q-VAE's sizes (encoder
-        # and both decoders); the last gets no gradient every third step.
-        b1, b2, lr = nets.ADAM_BETA1, nets.ADAM_BETA2, 1e-3
+        # and both decoders), each with its own learning rate; the last
+        # gets a zero gradient, as backward returns for a leaf the loss does
+        # not reach, every third step.
+        b1, b2 = nets.ADAM_BETA1, nets.ADAM_BETA2
+        lrs = [1e-3, 3e-4, 3e-3]
         widths = [(260, 128, 64, 40), (20, 64, 128, 8), (20, 64, 128, 256)]
         mlps = [Mlp(MlpSpec(w), seed=i) for i, w in enumerate(widths)]
-        opt = Adam([net.param for net in mlps], learning_rate=lr)
+        opt = Adam([net.param for net in mlps], lrs)
         ref = [[a.copy() for a in net.arrays()] for net in mlps]
         m = [[np.zeros_like(a) for a in r] for r in ref]
         v = [[np.zeros_like(a) for a in r] for r in ref]
         rng = np.random.default_rng(8)
         for t in range(1, 31):
-            for k, net in enumerate(mlps):
-                net.param.grad = (None if k == 2 and t % 3 == 0 else
-                                  rng.normal(size=net.param.data.shape) * 10.0 ** rng.uniform(-4, 1))
-            opt.step()
-            for k, net in enumerate(mlps):
-                grad = net.param.grad
-                grads = net.arrays(np.zeros_like(net.param.data) if grad is None else grad)
-                for i, g in enumerate(grads):
+            step_grads = [np.zeros_like(net.param.data) if k == 2 and t % 3 == 0 else
+                          rng.normal(size=net.param.data.shape) * 10.0 ** rng.uniform(-4, 1)
+                          for k, net in enumerate(mlps)]
+            opt.step(step_grads)
+            for k, (net, lr) in enumerate(zip(mlps, lrs)):
+                for i, g in enumerate(net.arrays(step_grads[k])):
                     m[k][i] = b1 * m[k][i] + (1.0 - b1) * g
                     v[k][i] = b2 * v[k][i] + (1.0 - b2) * g * g
                     m_hat = m[k][i] / (1.0 - b1**t)
@@ -418,14 +450,12 @@ class TestAdam:
     def test_deterministic_given_state(self):
         def run():
             net = Mlp(MlpSpec((2, 4, 1)), seed=3)
-            opt = Adam([net.param], learning_rate=0.01)
+            opt = Adam([net.param], [0.01])
             x = np.linspace(-1, 1, 8).reshape(4, 2)
             for _ in range(10):
-                opt.zero_grad()
                 out = net.forward(x)
                 loss = ad.mean_all(square(out))
-                ad.backward(loss)
-                opt.step()
+                opt.step(ad.backward(loss, opt.params))
             return net.param.data.copy()
 
         a, b = run(), run()

@@ -353,6 +353,37 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="s0"):
             plan(ShiftModel(), np.array([value]), config(), seed=0)
 
+    @staticmethod
+    def nan_world_model():
+        model = build_world_model(4, 2)
+        model.reward.arrays()[-1][0] = np.nan
+        return model
+
+    def test_plan_rejects_a_model_that_scores_no_candidate_finite(self):
+        # A NaN parameter once gave an arbitrary in-bounds action with
+        # best_score -inf and no flag.
+        cfg = CemConfig(action_low=-np.ones(2), action_high=np.ones(2), candidates=1000,
+                        max_iters=3)
+        with pytest.raises(ValueError, match="no candidate"):
+            plan(self.nan_world_model(), np.zeros(4), cfg, seed=0)
+
+    def test_plan_rejects_an_analytic_model_that_scores_no_candidate_finite(self):
+        class DeadModel(ShiftModel):
+            def reward_mean(self, s, a):
+                return np.full(np.atleast_2d(s).shape[0], -np.inf)
+
+        with pytest.raises(ValueError, match="no candidate"):
+            plan(DeadModel(), np.zeros(1), config(), seed=0)
+
+    def test_plan_without_iterations_keeps_its_warning_on_a_dead_model(self):
+        # No iteration scores anything, so nothing is rejected: the flag
+        # says the action is the initial mean.
+        cfg = CemConfig(action_low=-np.ones(2), action_high=np.ones(2), candidates=1000,
+                        max_iters=0)
+        action, diag = plan(self.nan_world_model(), np.zeros(4), cfg, seed=0)
+        assert diag.no_iteration_warning and np.isnan(diag.best_score)
+        np.testing.assert_array_equal(action, np.zeros(2))
+
 
 class TestTrueDynamicsClosedLoop:
     @pytest.mark.parametrize("start_seed", [3936, 0, 1])

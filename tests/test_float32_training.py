@@ -51,11 +51,9 @@ def in_float64(monkeypatch, fn):
 
 
 def loss_and_grads(loss_fn, params):
-    """(loss value, copies of every parameter's gradient) of loss_fn()."""
-    ad.zero_grads(params)
+    """(loss value, every parameter's gradient) of loss_fn()."""
     loss = loss_fn()
-    ad.backward(loss)
-    return float(loss.data), [p.grad.copy() for p in params]
+    return float(loss.data), ad.backward(loss, params)
 
 
 def assert_gate(monkeypatch, loss_fn, params, loss_rtol):

@@ -27,8 +27,8 @@ from test_autodiff import fd_grad
 def node_gradient(build, arr):
     """Gradient of mean_all(build(parameter)) at arr, by backward."""
     p = ad.parameter(arr.copy())
-    ad.backward(ad.mean_all(build(p)))
-    return p.grad
+    (grad,) = ad.backward(ad.mean_all(build(p)), [p])
+    return grad
 
 
 def node_value(build, arr):

@@ -139,10 +139,8 @@ def assert_loss_gradient_matches_fd(model, x, noise, monkeypatch=None):
     With monkeypatch, the float32 twin: the differences run on the float64
     graph and each gradient is held to them by assert_within_largest."""
     loss, _ = qvae_loss(model, x, noise)
-    ad.zero_grads(model.parameters())
-    ad.backward(loss)
-    for p in model.parameters():
-        analytic = p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
+    grads = ad.backward(loss, model.parameters())
+    for p, analytic in zip(model.parameters(), grads):
 
         def f(arr, p=p):
             old = p.data

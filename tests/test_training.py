@@ -134,3 +134,16 @@ def test_bad_batch_size_or_epochs_is_config_error(stage, epochs, batch_size, mat
         train(epochs, log_path=log, ckpt_path=ckpt)
     assert not log.exists() and not ckpt.exists()
     assert param_bytes(model) == before
+
+
+@pytest.mark.parametrize("stage", STAGES)
+def test_one_batch_moves_each_network_by_its_learning_rate(stage):
+    # Adam's first step is lr * g / (|g| + eps) per entry, so each network's
+    # largest move is its own learning rate.
+    model, train = make_run(stage, batch_size=N)
+    before = [p.data.copy() for p in model.parameters()]
+    train(1)
+    moves = [np.abs(p.data - b).max() for p, b in zip(model.parameters(), before)]
+    rates = ([world.DYNAMICS_LEARNING_RATE, world.REWARD_LEARNING_RATE] if stage == "world"
+             else [qvae.TrainConfig(1).learning_rate] * 3)
+    np.testing.assert_allclose(moves, rates, rtol=1e-6)

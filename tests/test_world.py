@@ -250,9 +250,9 @@ class TestWmLoss:
         )
         loss, graph = wm_loss(model, ds)
         _, dyn, rew = heldout_nll(model, ds)
-        ad.backward(loss)
-        for net in (model.dynamics, model.reward):
-            assert net.arrays(net.param.grad)[-1][1] == 0.0
+        grads = ad.backward(loss, model.parameters())
+        for net, grad in zip((model.dynamics, model.reward), grads):
+            assert net.arrays(grad)[-1][1] == 0.0
         return graph, (dyn, rew)
 
     # The clamped biases score as the bracket's ends, 2.0 and -6.0: at the
