@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .world import rollout_batch
 
 STD_FLOOR = 1e-3
@@ -61,8 +61,7 @@ class CemConfig:
 
     def __post_init__(self):
         for name in ("horizon", "candidates", "max_iters"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
         lo = np.asarray(self.action_low, dtype=np.float64)
         hi = np.asarray(self.action_high, dtype=np.float64)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):

@@ -40,7 +40,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_int
 from .nets import check_arrays, load_checkpoint, save_checkpoint
 
 DT = 0.1
@@ -349,7 +349,9 @@ class DatasetSplits:
 def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
     """Full-length scripted episodes (collection never terminates early, so
     near-target hovering is well covered), one RNG stream per episode, with
-    a fixed 90/5/5 split by episode. All episodes advance together."""
+    a fixed 90/5/5 split by episode. All episodes advance together. An
+    n_episodes that is not a positive integer is a ConfigError."""
+    n_episodes = check_int("n_episodes", n_episodes)
     if n_episodes < 1:
         raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
     draws = np.empty((n_episodes, 3))

@@ -43,7 +43,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, MissingArtifact, TrainingAbort
+from .errors import ConfigError, MissingArtifact, TrainingAbort, check_int
 
 _MAGIC = b"MRCKPT02"
 
@@ -86,9 +86,8 @@ class MlpSpec:
     activation: str = "swish"
 
     def __post_init__(self):
-        if any(type(w) is bool or not isinstance(w, (int, np.integer)) for w in self.layer_widths):
-            raise ConfigError(f"layer widths must be integers, got {self.layer_widths}")
-        object.__setattr__(self, "layer_widths", tuple(int(w) for w in self.layer_widths))
+        object.__setattr__(self, "layer_widths",
+                           tuple(check_int("layer width", w) for w in self.layer_widths))
         if len(self.layer_widths) < 3:
             raise ConfigError(
                 f"need at least one hidden layer, got widths {self.layer_widths}"
@@ -334,9 +333,10 @@ def fit(opt, n, epochs, batch_size, rng, loss, summarize, stage, log_path=None,
     none finished), the exception's diagnostics get the epoch it arose in
     (counted from 1) as "epoch", save() is called and the exception
     re-raised. save() is also called after the last epoch. A batch_size
-    below 1 or negative epochs is a ConfigError before any step, log line
-    or save.
+    below 1, negative epochs or either not an integer (check_int) is a
+    ConfigError before any step, log line or save.
     """
+    epochs, batch_size = check_int("epochs", epochs), check_int("batch_size", batch_size)
     if batch_size < 1:
         raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
     if epochs < 0:

@@ -38,7 +38,7 @@ from .nets import (
     save_checkpoint,
     set_params,
 )
-from .tsallis import MAX_EXPONENT, DiagGaussian, QParams, check_sparsity_condition
+from .tsallis import MAX_EXPONENT, DiagGaussian, QParams
 
 CLASS_KINDS = ("diag_gaussian", "continuous_bernoulli")
 
@@ -264,17 +264,17 @@ def _deformed_sum_t(log_ps, qs, weights):
 def _bracket_values(us, qparams: QParams):
     """Per-sample bracketed reconstruction quantity (q < 1 only) from the
     classes' clamped exponents u_c = (1-q_c) log p(x_c|z), (B,) arrays as
-    _deformed_sum_t returns them."""
-    qs = (qparams.q,) + qparams.class_qs
-    zs = (qparams.beta,) + qparams.class_weights
-    n = qparams.n_classes
+    _deformed_sum_t returns them: sum_c P_{c-1} (a_{c-1} - a_c) + a_C P_C
+    with a = qparams.chain / (1-q), P_0 = 1 and P_c = P_{c-1} exp(u_c).
+    Each gap is formed first, so it is exactly 0 at an equality chain, where
+    an expanded sum would cancel large terms down to a tiny bracket."""
+    a = [link / (1.0 - qparams.q) for link in qparams.chain]
     out = np.zeros(us[0].shape[0])
     log_prefix = np.zeros_like(out)
-    for c in range(1, n + 1):
-        gap = zs[c - 1] / (1.0 - qs[c - 1]) - zs[c] / (1.0 - qs[c])
-        out += np.exp(log_prefix) * gap
+    for c in range(1, len(a)):
+        out += np.exp(log_prefix) * (a[c - 1] - a[c])
         log_prefix = log_prefix + us[c - 1]
-    out += zs[n] / (1.0 - qs[n]) * np.exp(log_prefix)
+    out += a[-1] * np.exp(log_prefix)
     return out
 
 
@@ -298,8 +298,8 @@ def qvae_loss(model: QvaeModel, x, noise):
     one over the posterior for the entropy term.
 
     Returns (loss tensor, LossBreakdown). Raises TrainingAbort when the
-    bracket goes negative (q < 1) and on non-finite values. The sparsity
-    condition that keeps the bracket non-negative is checked by train_qvae.
+    bracket goes negative (q < 1) and on non-finite values. The bracket
+    stays non-negative under QParams.sparsifying, which train_qvae requires.
     """
     qparams = model.qparams
     x, blocks = model.split_observation(x)
@@ -368,8 +368,9 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
     log_path as a JSON line of stage "qvae". The checkpoint at ckpt_path is
     written after the last epoch, or on TrainingAbort with the parameters of
     the last whole epoch before the abort is re-raised. Non-finite x_data,
-    or continuous-Bernoulli values outside [0, 1], is a ValueError before
-    any step, log line or checkpoint."""
+    or continuous-Bernoulli values outside [0, 1], is a ValueError, and
+    QParams that are not sparsifying a ConfigError, before any step, log
+    line or checkpoint."""
     x_data, blocks = model.split_observation(x_data)
     if x_data.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
@@ -379,12 +380,9 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
         if cls.kind == "continuous_bernoulli" and ((block < 0) | (block > 1)).any():
             raise ValueError(f"x_data values of continuous-Bernoulli class {cls.name!r} "
                              "must lie in [0, 1]")
-    report = check_sparsity_condition(model.qparams)
-    if not report.satisfied:
-        raise ConfigError(
-            f"sparsification condition violated: chain {report.chain} "
-            "must be nonincreasing"
-        )
+    if not model.qparams.sparsifying:
+        raise ConfigError(f"sparsification condition violated: chain "
+                          f"{model.qparams.chain} must be nonincreasing")
 
     opt = Adam(model.parameters(), [cfg.learning_rate] * len(model.parameters()))
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x71AE]))

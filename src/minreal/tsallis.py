@@ -1,9 +1,9 @@
 """The q-deformed logarithm, the diagonal-Gaussian belief that encoding
-returns, the hyperparameters of the deformed objective, and the condition on
-them that keeps the sparsifying reconstruction bracket non-negative. The
-Gaussian head with its log-std clamp (gaussian_head) and the Gaussian
-log-density (gaussian_log_prob_t) live in nets, for training and inference
-alike.
+returns, and the hyperparameters of the deformed objective (QParams), which
+also state the condition on them that keeps the sparsifying reconstruction
+bracket non-negative (QParams.chain, QParams.sparsifying). The Gaussian
+head with its log-std clamp (gaussian_head) and the Gaussian log-density
+(gaussian_log_prob_t) live in nets, for training and inference alike.
 
 Functions accept scalars or numpy arrays (float64 throughout). q_log at
 q = 1 is the exact natural log, never a numerical limit. The loss forms its
@@ -120,6 +120,25 @@ class QParams:
     def n_classes(self):
         return len(self.class_qs)
 
+    @property
+    def chain(self):
+        """The links of the sparsity condition, (beta, (1-q)/(1-q_1) zeta_1,
+        ..., (1-q)/(1-q_C) zeta_C), or (beta,) at q = 1, where the condition
+        is vacuous."""
+        if self.q == 1.0:
+            return (self.beta,)
+        return (self.beta, *((1.0 - self.q) / (1.0 - qc) * zc
+                             for qc, zc in zip(self.class_qs, self.class_weights)))
+
+    @property
+    def sparsifying(self):
+        """Whether chain is nonincreasing, the condition that keeps the
+        reconstruction bracket non-negative; a tiny relative slack lets
+        exactly equal links survive float rounding."""
+        links = self.chain
+        return all(left >= right - 1e-12 * max(1.0, abs(left), abs(right))
+                   for left, right in zip(links, links[1:]))
+
 
 def q_log(x, q):
     """Deformed logarithm ln_q(x) = (x^(1-q) - 1) / (1 - q), ln(x) at q = 1.
@@ -134,33 +153,3 @@ def q_log(x, q):
     # expm1 keeps precision as q -> 1 where x^(1-q) - 1 would cancel.
     out = np.expm1((1.0 - q) * np.log(arr)) / (1.0 - q)
     return _scalar_or_array(out, x)
-
-
-@dataclasses.dataclass(frozen=True)
-class SparsityReport:
-    """Result of the non-negativity condition check.
-
-    chain holds (beta, (1-q)/(1-q_1) * zeta_1, ..., (1-q)/(1-q_C) * zeta_C);
-    the condition requires it to be nonincreasing left to right. exact_vae
-    marks the q = 1 case where the condition is vacuous.
-    """
-
-    satisfied: bool
-    chain: tuple
-    exact_vae: bool = False
-
-
-def check_sparsity_condition(params: QParams) -> SparsityReport:
-    """Evaluate the chain beta >= (1-q)/(1-q_1) zeta_1 >= ... >= (1-q)/(1-q_C) zeta_C."""
-    if params.q == 1.0:
-        return SparsityReport(satisfied=True, chain=(params.beta,), exact_vae=True)
-    chain = [params.beta]
-    for qc, zc in zip(params.class_qs, params.class_weights):
-        chain.append((1.0 - params.q) / (1.0 - qc) * zc)
-    ok = True
-    for left, right in zip(chain, chain[1:]):
-        # Tiny relative slack so exactly-equal chains survive float rounding.
-        if left < right - 1e-12 * max(1.0, abs(left), abs(right)):
-            ok = False
-            break
-    return SparsityReport(satisfied=ok, chain=tuple(chain))

@@ -147,16 +147,14 @@ class WorldModel:
         return self.reward.forward_np(self._join(s, a))[:, 0]
 
 
-def build_world_model(state_dim, action_dim, dyn_hidden=None, rew_hidden=None,
-                      seed=0) -> WorldModel:
-    """Dynamics and reward networks with tanh hidden layers; hidden widths
-    default to default_hidden(state_dim, action_dim)."""
-    dyn_hidden = dyn_hidden or default_hidden(state_dim, action_dim)
-    rew_hidden = rew_hidden or default_hidden(state_dim, action_dim)
+def build_world_model(state_dim, action_dim, hidden=None, seed=0) -> WorldModel:
+    """Dynamics and reward networks, each with tanh hidden layers of the
+    widths hidden, default_hidden(state_dim, action_dim) by default."""
+    hidden = hidden or default_hidden(state_dim, action_dim)
     s_dyn, s_rew = np.random.SeedSequence(seed).spawn(2)
     width_in = state_dim + action_dim
-    dyn = Mlp(MlpSpec((width_in, *dyn_hidden, 2 * state_dim), activation="tanh"), seed=s_dyn)
-    rew = Mlp(MlpSpec((width_in, *rew_hidden, 2), activation="tanh"), seed=s_rew)
+    dyn = Mlp(MlpSpec((width_in, *hidden, 2 * state_dim), activation="tanh"), seed=s_dyn)
+    rew = Mlp(MlpSpec((width_in, *hidden, 2), activation="tanh"), seed=s_rew)
     return WorldModel(state_dim, action_dim, dyn, rew)
 
 

@@ -34,7 +34,7 @@ def _save_world_dataset(path):
 # kind -> (write a well-formed file, loader)
 KINDS = {
     "qvae": (_save_qvae, qvae.load_qvae),
-    "world": (lambda p: world.save_world(p, world.build_world_model(2, 2, (4,), (4,))),
+    "world": (lambda p: world.save_world(p, world.build_world_model(2, 2, (4,))),
               world.load_world),
     "transitions": (lambda p: env.save_transitions(p, env.collect_dataset(1).train),
                     env.load_transitions),

@@ -332,10 +332,16 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("candidates", 1000.5), ("horizon", 2.5), ("max_iters", 2.0),
+        # True was once accepted, and kept as the horizon.
+        ("candidates", True), ("horizon", True), ("max_iters", True),
     ])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ConfigError, match=field):
             config(**{field: value})
+
+    def test_numpy_integer_counts_accepted(self):
+        cfg = config(horizon=np.int64(3), candidates=np.int32(200), max_iters=np.uint8(2))
+        assert (cfg.horizon, cfg.candidates, cfg.max_iters) == (3, 200, 2)
 
     @pytest.mark.parametrize("field, value", [
         ("mean", np.nan), ("mean", np.inf), ("std", np.nan), ("std", np.inf),

@@ -415,6 +415,15 @@ class TestCollect:
         with pytest.raises(ConfigError):
             env.collect_dataset(0)
 
+    @pytest.mark.parametrize("n", [2.5, 3.0, True])
+    def test_non_integer_episode_count_rejected(self, n):
+        # 2.5 and True once raised a raw TypeError.
+        with pytest.raises(ConfigError, match="n_episodes"):
+            env.collect_dataset(n)
+
+    def test_numpy_integer_episode_count_accepted(self):
+        assert len(env.collect_dataset(np.int64(3)).train) == len(env.collect_dataset(3).train)
+
 
 class TestBatchedKernels:
     @pytest.mark.parametrize("seed", [0, 12])

@@ -18,7 +18,7 @@ import pytest
 from minreal import autodiff as ad
 from minreal import env, latent, nets, qvae, world
 from minreal.tsallis import QParams
-from test_autodiff import square
+from test_autodiff import in_float64, square
 
 CLASSES = (
     qvae.ObservationClass("proprio", "diag_gaussian", env.PROPRIO_DIM),
@@ -41,13 +41,6 @@ EPOCH_TOTAL_RTOL = 5e-4
 WORLD_NLL_ATOL = 0.016
 RECON_MSE_RTOL = 4e-6
 HOYER_RTOL = 1.1e-3
-
-
-def in_float64(monkeypatch, fn):
-    """fn() with Mlp.forward computing in float64."""
-    with monkeypatch.context() as m:
-        m.setattr(nets, "GRAPH_DTYPE", np.float64)
-        return fn()
 
 
 def loss_and_grads(loss_fn, params):

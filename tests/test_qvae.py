@@ -38,7 +38,7 @@ QP_TABLE = QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0),
                    beta=50.0, gamma=3.0)
 QP_VAE = QParams(q=1.0, class_qs=(1.0, 1.0), class_weights=(1.0, 1.0),
                  beta=1.0, gamma=1.0)
-# A strict chain: 30 > 20 > 5 (check_sparsity_condition).
+# A strict chain: 30 > 20 > 5 (QParams.chain).
 QP_STRICT = QParams(q=0.9, class_qs=(0.95, 0.999), class_weights=(10.0, 0.05),
                     beta=30.0, gamma=3.0)
 
@@ -637,6 +637,32 @@ class TestBracket:
         vals = bracket_term(model, x, z)
         assert np.all(vals > 0)
         assert np.all(vals >= gap1 - 1e-6)
+
+    @pytest.mark.parametrize("qparams", [
+        QP_TABLE, QP_STRICT, QP_THREE,
+        # the equality chain (10, 10, 10), and a violating one (30, 40, 50)
+        QParams(q=0.99, class_qs=(0.99, 0.999), class_weights=(10.0, 1.0), beta=10.0,
+                gamma=3.0),
+        QParams(q=0.95, class_qs=(0.95, 0.999), class_weights=(40.0, 1.0), beta=30.0,
+                gamma=3.0),
+    ])
+    def test_values_equal_gap_formula_bitwise(self, qparams):
+        # The bracket from the gaps zeta_{c-1}/(1-q_{c-1}) - zeta_c/(1-q_c),
+        # written out; _bracket_values forms them from QParams.chain.
+        rng = np.random.default_rng(51)
+        rows = 100_000
+        us = [np.minimum((1.0 - qc) * rng.normal(-20.0, 100.0, rows), 50.0)
+              for qc in qparams.class_qs]
+        qs = (qparams.q, *qparams.class_qs)
+        zs = (qparams.beta, *qparams.class_weights)
+        expected = np.zeros(rows)
+        log_prefix = np.zeros(rows)
+        for c in range(1, len(qs)):
+            gap = zs[c - 1] / (1.0 - qs[c - 1]) - zs[c] / (1.0 - qs[c])
+            expected += np.exp(log_prefix) * gap
+            log_prefix = log_prefix + us[c - 1]
+        expected += zs[-1] / (1.0 - qs[-1]) * np.exp(log_prefix)
+        np.testing.assert_array_equal(_bracket_values(us, qparams), expected)
 
     def test_bracket_requires_q_below_1(self):
         model = tiny_model(qparams=QP_VAE, seed=16)

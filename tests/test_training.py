@@ -123,7 +123,11 @@ def test_nan_bracket_min_is_logged_as_nan(tmp_path):
 
 
 @pytest.mark.parametrize("epochs, batch_size, match", [
-    (2, 0, "batch_size"), (2, -4, "batch_size"), (-2, BATCH, "epochs")])
+    (2, 0, "batch_size"), (2, -4, "batch_size"), (-2, BATCH, "epochs"),
+    # 1.5 epochs once left an empty log and raised a TypeError, and True
+    # trained as 1.
+    (1.5, BATCH, "epochs"), (True, BATCH, "epochs"), (2, True, "batch_size"),
+    (2, 16.0, "batch_size")])
 @pytest.mark.parametrize("stage", STAGES)
 def test_bad_batch_size_or_epochs_is_config_error(stage, epochs, batch_size, match,
                                                   tmp_path):

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from minreal.errors import ConfigError
-from minreal.tsallis import (
-    DiagGaussian,
-    QParams,
-    check_sparsity_condition,
-    q_log,
-)
+from minreal.tsallis import DiagGaussian, QParams, q_log
 
 
 class TestQLog:
@@ -101,30 +96,27 @@ class TestSparsityCondition:
         params = QParams(
             q=0.99, class_qs=(0.99, 0.999), class_weights=(10.0, 1.0), beta=10.0, gamma=3.0
         )
-        report = check_sparsity_condition(params)
-        assert report.satisfied
-        np.testing.assert_allclose(report.chain, (10.0, 10.0, 10.0))
+        assert params.sparsifying
+        np.testing.assert_allclose(params.chain, (10.0, 10.0, 10.0))
 
     def test_reach_style_equality_chain(self):
         params = QParams(
             q=0.95, class_qs=(0.95, 0.999), class_weights=(50.0, 1.0), beta=50.0, gamma=3.0
         )
-        report = check_sparsity_condition(params)
-        assert report.satisfied
-        np.testing.assert_allclose(report.chain, (50.0, 50.0, 50.0))
+        assert params.sparsifying
+        np.testing.assert_allclose(params.chain, (50.0, 50.0, 50.0))
 
     def test_violated_chain(self):
         params = QParams(
             q=0.99, class_qs=(0.99, 0.999), class_weights=(10.0, 1.0), beta=5.0, gamma=3.0
         )
-        report = check_sparsity_condition(params)
-        assert not report.satisfied
-        assert report.chain[0] == 5.0 and report.chain[1] == pytest.approx(10.0)
+        assert not params.sparsifying
+        assert params.chain[0] == 5.0 and params.chain[1] == pytest.approx(10.0)
 
     def test_exact_vae_vacuous(self):
         params = QParams(q=1.0, class_qs=(1.0, 1.0), class_weights=(50.0, 1.0), beta=0.3, gamma=0.3)
-        report = check_sparsity_condition(params)
-        assert report.satisfied and report.exact_vae
+        assert params.chain == (0.3,)
+        assert params.sparsifying
 
     def test_qparams_validation(self):
         with pytest.raises(ConfigError):
@@ -143,7 +135,7 @@ class TestSparsityCondition:
     @pytest.mark.parametrize("field", ["beta", "gamma", "class_weight"])
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_non_finite_objective_weight_rejected(self, field, value):
-        # Each once passed, and check_sparsity_condition called its chain
+        # Each once passed, and the sparsity check called its chain
         # satisfied: NaN compares False, and (50, inf, 50) hid behind an
         # infinite slack.
         kwargs = {"q": 0.95, "class_qs": (0.95, 0.999), "class_weights": (50.0, 1.0),
@@ -157,7 +149,7 @@ class TestSparsityCondition:
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_class_q_rejected(self, value):
-        # NaN once passed every ordering check, so check_sparsity_condition
+        # NaN once passed every ordering check, so the sparsity check
         # called the chain (1.0, nan) satisfied and training aborted at step 1.
         with pytest.raises(ConfigError, match="finite"):
             QParams(0.5, (value,), (1.0,), 1.0, 1.0)

@@ -167,7 +167,7 @@ class FailsInPoolThread(AnalyticModel):
 
 def constant_world_model(mean_bias=0.0, ls_bias=0.0, r_bias=0.0, r_ls_bias=0.0):
     """1-D world model whose nets always output fixed parameters."""
-    model = build_world_model(1, 1, dyn_hidden=(4, 4), rew_hidden=(4, 4), seed=0)
+    model = build_world_model(1, 1, hidden=(4, 4), seed=0)
     for net, biases in ((model.dynamics, (mean_bias, ls_bias)),
                         (model.reward, (r_bias, r_ls_bias))):
         net.param.data[...] = 0.0
@@ -726,7 +726,7 @@ class TestParameterCounts:
         assert masked / full <= 0.40
 
     def test_count_is_exact(self):
-        model = build_world_model(3, 2, dyn_hidden=(4,), rew_hidden=(4,), seed=0)
+        model = build_world_model(3, 2, hidden=(4,), seed=0)
         # dynamics: 5*4+4 + 4*6+6 = 54; reward: 5*4+4 + 4*2+2 = 34
         assert parameter_count(model) == 54 + 34
 
