@@ -22,7 +22,7 @@ import time
 
 import numpy as np
 
-from .errors import ConfigError, check_int
+from .errors import ConfigError, check_int, check_seed
 from .world import rollout_batch
 
 STD_FLOOR = 1e-3
@@ -60,8 +60,8 @@ class CemConfig:
     time_budget: float | None = None  # seconds; None = unlimited
 
     def __post_init__(self):
-        for name in ("horizon", "candidates", "max_iters"):
-            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        for name, minimum in (("horizon", 0), ("candidates", 1), ("max_iters", 0)):
+            object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         lo = np.asarray(self.action_low, dtype=np.float64)
         hi = np.asarray(self.action_high, dtype=np.float64)
         if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
@@ -74,10 +74,6 @@ class CemConfig:
             raise ConfigError(f"elite ratio must be in (0, 1), got {self.elite_ratio}")
         if not (0.0 < self.smoothing < 1.0):
             raise ConfigError(f"smoothing must be in (0, 1), got {self.smoothing}")
-        if self.horizon < 0:
-            raise ConfigError("horizon must be >= 0")
-        if self.max_iters < 0:
-            raise ConfigError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.time_budget is not None and np.isnan(self.time_budget):
             raise ConfigError("time_budget must not be NaN")
         if int(np.floor(self.elite_ratio * self.candidates)) < 1:
@@ -107,8 +103,12 @@ class PlanDiagnostics:
     iterations_completed: int
     best_score: float
     wall_seconds: float
-    no_iteration_warning: bool = False
     final_policy: PolicyParams | None = None
+
+    @property
+    def no_iteration_warning(self):
+        """No iteration completed: the plan is the initial policy's mean."""
+        return self.iterations_completed == 0
 
 
 def sample_candidates(policy: PolicyParams, k, low, high, rng):
@@ -169,8 +169,10 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
     Returns (first action, PlanDiagnostics). With a fixed seed and no time
     budget the result is deterministic. If no iteration completes, the
     initial policy mean is returned with a warning flag. A non-finite s0, or
-    an iteration that scores no candidate finite, is a ValueError.
+    an iteration that scores no candidate finite, is a ValueError, and a bad
+    seed a ConfigError (errors.check_seed).
     """
+    check_seed("seed", seed)
     if not np.isfinite(s0).all():
         raise ValueError(f"s0 must be finite, got {s0}")
     start = time.perf_counter()
@@ -207,7 +209,6 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
         iterations_completed=iters,
         best_score=best_score if iters > 0 else float("nan"),
         wall_seconds=wall,
-        no_iteration_warning=(iters == 0),
         final_policy=policy,
     )
     return np.clip(policy.mean[0], config.action_low, config.action_high), diag

@@ -40,8 +40,8 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, check_int
-from .nets import check_arrays, load_checkpoint, save_checkpoint
+from .errors import check_int, check_seed
+from .nets import check_arrays, check_shapes, load_checkpoint, save_checkpoint
 
 DT = 0.1
 V_MAX = 1.0
@@ -299,6 +299,12 @@ def _join(a, b):
     return np.concatenate([a, b])
 
 
+# Array name -> shape; the names are the Episodes fields. nets.check_shapes
+# ties E and T across arrays, and Episodes checks that obs has T+1 steps.
+_EPISODE_SHAPES = {"obs": ("e", "t+1", OBS_DIM), "action": ("e", "t", ACTION_DIM),
+                   "reward": ("e", "t")}
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class Episodes:
     """E episodes of T steps (see the module docstring); len() counts the
@@ -313,12 +319,9 @@ class Episodes:
     reward: np.ndarray
 
     def __post_init__(self):
-        r = self.reward.shape
-        if (len(r) != 2 or self.action.shape != (*r, ACTION_DIM)
-                or self.obs.shape != (r[0], r[1] + 1, OBS_DIM)):
-            raise ValueError(
-                f"episode arrays obs {self.obs.shape}, action {self.action.shape}, "
-                f"reward {r}; expected (E, T+1, {OBS_DIM}), (E, T, {ACTION_DIM}), (E, T)")
+        check_shapes("Episodes", vars(self), _EPISODE_SHAPES)
+        if self.obs.shape[1] != self.reward.shape[1] + 1:
+            raise ValueError(f"Episodes: obs has {self.obs.shape[1]} steps, expected T+1")
 
     def __len__(self):
         return self.reward.size
@@ -350,10 +353,10 @@ def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
     """Full-length scripted episodes (collection never terminates early, so
     near-target hovering is well covered), one RNG stream per episode, with
     a fixed 90/5/5 split by episode. All episodes advance together. An
-    n_episodes that is not a positive integer is a ConfigError."""
-    n_episodes = check_int("n_episodes", n_episodes)
-    if n_episodes < 1:
-        raise ConfigError(f"n_episodes must be >= 1, got {n_episodes}")
+    n_episodes that is not a positive integer, or a bad seed
+    (errors.check_seed), is a ConfigError."""
+    n_episodes = check_int("n_episodes", n_episodes, 1)
+    check_seed("seed", seed)
     draws = np.empty((n_episodes, 3))
     noise = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))
     for e, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
@@ -379,12 +382,6 @@ def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
 
 
 # --- transition file io -----------------------------------------------------
-
-# Array name -> shape; the names are the Episodes fields. check_arrays ties
-# E and T across arrays, and Episodes checks that obs has T+1 steps.
-_EPISODE_SHAPES = {"obs": ("e", "t+1", OBS_DIM), "action": ("e", "t", ACTION_DIM),
-                   "reward": ("e", "t")}
-
 
 def save_transitions(path, episodes: Episodes):
     save_checkpoint(path, {"kind": "transitions"},

@@ -8,12 +8,23 @@ class ConfigError(ValueError):
     """Invalid configuration or hyperparameters (CLI exit code 2)."""
 
 
-def check_int(name, value):
-    """value as an int. A bool or a value of a non-integral type, such as
-    2.0, is a ConfigError naming it; numpy integers are accepted."""
+def check_int(name, value, minimum):
+    """value as an int. A bool, a value of a non-integral type, such as 2.0,
+    or one below minimum is a ConfigError naming it; numpy integers are
+    accepted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_seed(name, value):
+    """A ConfigError naming it unless value, or each item of a list or tuple
+    value, is an integer >= 0 as check_int takes it: a seed that
+    np.random.SeedSequence takes, bools excluded."""
+    for v in value if isinstance(value, (list, tuple)) else [value]:
+        check_int(name, v, 0)
 
 
 class MissingArtifact(FileNotFoundError):

@@ -15,28 +15,32 @@ DEFAULT_IMPORTANCE_THRESHOLD = 0.15
 
 @dataclasses.dataclass(frozen=True)
 class LatentMask:
-    """Boolean keep/drop vector over latent dimensions. A negative or NaN
-    threshold_used, a non-finite importance or a mask that keeps nothing is
-    a ValueError."""
+    """The dimensions to keep, from importance and threshold_used alone:
+    those above the threshold or, if none is, the most important one
+    (fallback_used). An importance that is not a nonempty finite vector, or
+    a negative or NaN threshold, is a ValueError."""
 
-    keep: np.ndarray
-    threshold_used: float
     importance: np.ndarray
-    fallback_used: bool = False
+    threshold_used: float
+    keep: np.ndarray = dataclasses.field(init=False)
+    fallback_used: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
-        keep = np.asarray(self.keep, dtype=bool)
         importance = np.asarray(self.importance, dtype=np.float64)
-        if keep.shape != importance.shape:
-            raise ValueError("keep and importance must have equal length")
+        if importance.ndim != 1 or importance.size == 0:
+            raise ValueError(f"importance of shape {importance.shape} is not a vector")
         if not np.isfinite(importance).all():
             raise ValueError(f"non-finite importance {importance}")
-        if not keep.any():
-            raise ValueError("a mask must keep at least one dimension")
         if not self.threshold_used >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold_used}")
-        object.__setattr__(self, "keep", keep)
+        keep = importance > self.threshold_used
+        fallback = not keep.any()
+        if fallback:
+            keep[np.argmax(importance)] = True
         object.__setattr__(self, "importance", importance)
+        object.__setattr__(self, "threshold_used", float(self.threshold_used))
+        object.__setattr__(self, "keep", keep)
+        object.__setattr__(self, "fallback_used", fallback)
 
     @property
     def latent_dim(self):
@@ -89,20 +93,8 @@ def dim_importance(encodings) -> np.ndarray:
 
 
 def build_mask(importance, threshold) -> LatentMask:
-    """Keep dimensions whose importance exceeds the threshold; if none
-    survive, keep the single most important dimension and flag it. A
-    negative or NaN threshold or a non-finite importance is a ValueError."""
-    importance = np.asarray(importance, dtype=np.float64)
-    keep = importance > threshold
-    fallback = False
-    if not keep.any():
-        keep = np.zeros_like(keep)
-        keep[int(np.argmax(importance))] = True
-        fallback = True
-    return LatentMask(
-        keep=keep, threshold_used=float(threshold), importance=importance,
-        fallback_used=fallback,
-    )
+    """The LatentMask of importance at threshold (see LatentMask)."""
+    return LatentMask(importance, threshold)
 
 
 def apply_mask(z, mask: LatentMask):
@@ -117,29 +109,24 @@ def apply_mask(z, mask: LatentMask):
 
 
 def save_mask(path, mask: LatentMask):
-    """keep (as 0/1) and importance as arrays, the threshold and the
-    fallback flag in the header. Round-trips exactly."""
-    header = {"kind": "mask", "threshold_used": mask.threshold_used,
-              "fallback_used": mask.fallback_used}
-    save_checkpoint(path, header, {"keep": mask.keep, "importance": mask.importance})
+    """importance as the one array and threshold_used in the header: the
+    two values the mask follows from. Round-trips exactly."""
+    save_checkpoint(path, {"kind": "mask", "threshold_used": mask.threshold_used},
+                    {"importance": mask.importance})
 
 
 def load_mask(path) -> LatentMask:
     """Raises MissingArtifact if the file is absent and a ValueError naming
     it if it is not a well-formed mask file (see nets.load_checkpoint), if
-    its arrays have other names or shapes or hold a non-finite value, if a
-    keep flag is not 0 or 1, if the fallback flag is not a boolean, or if
-    the threshold is not a number or LatentMask rejects the mask."""
+    it holds other arrays than one finite importance vector (such as the
+    keep array of earlier files), or if the threshold is not a number or
+    LatentMask rejects the mask."""
     header, arrays = load_checkpoint(path, "mask")
-    keep, importance = check_arrays(path, arrays, {"keep": ("d",), "importance": ("d",)})
-    threshold, fallback = header.get("threshold_used"), header.get("fallback_used")
-    if type(threshold) not in (int, float) or type(fallback) is not bool:
-        raise ValueError(f"{path}: bad threshold_used {threshold!r} or "
-                         f"fallback_used {fallback!r}")
-    if not np.isin(keep, (0.0, 1.0)).all():
-        raise ValueError(f"{path}: keep flags must be 0 or 1")
+    (importance,) = check_arrays(path, arrays, {"importance": ("d",)})
+    threshold = header.get("threshold_used")
+    if type(threshold) not in (int, float):
+        raise ValueError(f"{path}: bad threshold_used {threshold!r}")
     try:
-        return LatentMask(keep=keep == 1.0, threshold_used=float(threshold),
-                          importance=importance, fallback_used=fallback)
+        return LatentMask(importance, threshold)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

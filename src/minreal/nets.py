@@ -87,13 +87,11 @@ class MlpSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "layer_widths",
-                           tuple(check_int("layer width", w) for w in self.layer_widths))
+                           tuple(check_int("layer width", w, 1) for w in self.layer_widths))
         if len(self.layer_widths) < 3:
             raise ConfigError(
                 f"need at least one hidden layer, got widths {self.layer_widths}"
             )
-        if any(w <= 0 for w in self.layer_widths):
-            raise ConfigError(f"layer widths must be positive, got {self.layer_widths}")
         if self.activation not in ACTIVATIONS:
             raise ConfigError(f"unknown activation {self.activation!r}")
 
@@ -336,11 +334,7 @@ def fit(opt, n, epochs, batch_size, rng, loss, summarize, stage, log_path=None,
     below 1, negative epochs or either not an integer (check_int) is a
     ConfigError before any step, log line or save.
     """
-    epochs, batch_size = check_int("epochs", epochs), check_int("batch_size", batch_size)
-    if batch_size < 1:
-        raise ConfigError(f"batch_size must be at least 1, got {batch_size}")
-    if epochs < 0:
-        raise ConfigError(f"epochs must be non-negative, got {epochs}")
+    epochs, batch_size = check_int("epochs", epochs, 0), check_int("batch_size", batch_size, 1)
 
     def step(idx):
         loss_t, record = loss(idx)
@@ -585,13 +579,9 @@ def load_checkpoint(path, kind):
     return header, arrays
 
 
-def check_arrays(path, arrays, shapes):
-    """The arrays of an artifact in `shapes` order, after checking that
-    their names are exactly `shapes`' keys, that each shape matches (a str
-    dimension must take one value wherever it appears) and that every value
-    is finite; a ValueError naming the file otherwise."""
-    if list(arrays) != list(shapes):
-        raise ValueError(f"{path}: arrays {list(arrays)}, expected {list(shapes)}")
+def check_shapes(label, arrays, shapes):
+    """A ValueError starting with label unless each arrays[name] has shape
+    shapes[name], a str dimension taking one value wherever it appears."""
     sizes = {}
     for name, want in shapes.items():
         got = arrays[name].shape
@@ -599,7 +589,17 @@ def check_arrays(path, arrays, shapes):
             sizes.setdefault(w, g) != g if isinstance(w, str) else w != g
             for w, g in zip(want, got)
         ):
-            raise ValueError(f"{path}: array {name!r} has shape {got}, expected {want}")
-        if not np.isfinite(arrays[name]).all():
+            raise ValueError(f"{label}: array {name!r} has shape {got}, expected {want}")
+
+
+def check_arrays(path, arrays, shapes):
+    """The arrays of an artifact in `shapes` order, after checking that
+    their names are exactly `shapes`' keys, their shapes and that every
+    value is finite; a ValueError naming the file otherwise."""
+    if list(arrays) != list(shapes):
+        raise ValueError(f"{path}: arrays {list(arrays)}, expected {list(shapes)}")
+    check_shapes(path, arrays, shapes)
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
             raise ValueError(f"{path}: non-finite values in {name!r}")
     return list(arrays.values())

@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingAbort
+from .errors import ConfigError, TrainingAbort, check_int, check_seed
 from .nets import (
     CB_LOGIT_CLAMP,
     Adam,
@@ -52,8 +52,7 @@ class ObservationClass:
     def __post_init__(self):
         if self.kind not in CLASS_KINDS:
             raise ConfigError(f"unknown observation class kind {self.kind!r}")
-        if self.width < 1:
-            raise ConfigError(f"class width must be positive, got {self.width}")
+        object.__setattr__(self, "width", check_int("class width", self.width, 1))
 
     @property
     def raw_width(self):
@@ -87,16 +86,17 @@ class LossBreakdown:
 
 class QvaeModel:
     """Encoder + one decoder head per observation class + fixed standard
-    normal prior over the latent space."""
+    normal prior over the latent space; |Z| follows from the encoder's mean
+    and log-std per latent dim."""
 
-    def __init__(self, classes, latent_dim, encoder, decoders, qparams: QParams):
+    def __init__(self, classes, encoder, decoders, qparams: QParams):
         self.classes = validate_classes(classes)
         if len(self.classes) != qparams.n_classes:
             raise ConfigError(
                 f"{len(self.classes)} observation classes but "
                 f"{qparams.n_classes} class_qs"
             )
-        self.latent_dim = int(latent_dim)
+        self.latent_dim, odd = divmod(encoder.spec.out_dim, 2)
         self.encoder = encoder
         self.decoders = list(decoders)
         self.qparams = qparams
@@ -105,10 +105,10 @@ class QvaeModel:
             raise ConfigError(
                 f"encoder input {encoder.spec.in_dim} != observation width {self.obs_dim}"
             )
-        if encoder.spec.out_dim != 2 * self.latent_dim:
-            raise ConfigError(
-                f"encoder output {encoder.spec.out_dim} != 2*|Z| = {2 * self.latent_dim}"
-            )
+        if odd:
+            raise ConfigError("encoder output must be a mean and log-std per latent dim")
+        if len(self.decoders) != len(self.classes):
+            raise ConfigError(f"{len(self.decoders)} decoders for {len(self.classes)} classes")
         for cls, dec in zip(self.classes, self.decoders):
             if dec.spec.out_dim != cls.raw_width:
                 raise ConfigError(f"decoder for {cls.name!r} outputs {dec.spec.out_dim}, "
@@ -360,6 +360,9 @@ class TrainConfig:
     seed: int = 0
     learning_rate: float = 1e-3
 
+    def __post_init__(self):
+        check_seed("seed", self.seed)
+
 
 def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_path=None):
     """Deterministic minibatch training through nets.fit; returns one
@@ -424,6 +427,7 @@ def build_qvae(
     decoder_hidden is one width tuple per class; defaults to the reversed
     encoder widths for every class.
     """
+    check_seed("seed", seed)
     classes = validate_classes(classes)
     obs_dim = sum(c.width for c in classes)
     if decoder_hidden is None:
@@ -432,7 +436,7 @@ def build_qvae(
     encoder = Mlp(MlpSpec((obs_dim, *encoder_hidden, 2 * latent_dim)), seed=seeds[0])
     decoders = [Mlp(MlpSpec((latent_dim, *hidden, cls.raw_width)), seed=ss)
                 for cls, hidden, ss in zip(classes, decoder_hidden, seeds[1:])]
-    return QvaeModel(classes, latent_dim, encoder, decoders, qparams)
+    return QvaeModel(classes, encoder, decoders, qparams)
 
 
 def _nets(model: QvaeModel):
@@ -443,7 +447,6 @@ def _nets(model: QvaeModel):
 def save_qvae(path, model: QvaeModel):
     header = {
         "kind": "qvae",
-        "latent_dim": model.latent_dim,
         "classes": [dataclasses.asdict(c) for c in model.classes],
         "encoder": model.encoder.spec.to_dict(),
         "decoders": [d.spec.to_dict() for d in model.decoders],
@@ -462,7 +465,7 @@ def load_qvae(path) -> QvaeModel:
         qparams = QParams(**header["qparams"])
         encoder = Mlp(MlpSpec(**header["encoder"]), seed=0)
         decoders = [Mlp(MlpSpec(**d), seed=0) for d in header["decoders"]]
-        model = QvaeModel(classes, header["latent_dim"], encoder, decoders, qparams)
+        model = QvaeModel(classes, encoder, decoders, qparams)
         set_params(_nets(model), arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a q-VAE checkpoint ({exc!r})") from None

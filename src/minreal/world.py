@@ -51,12 +51,13 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import TrainingAbort
+from .errors import TrainingAbort, check_seed
 from .nets import (
     Adam,
     Mlp,
     MlpSpec,
     check_arrays,
+    check_shapes,
     fit,
     float_dtype,
     gaussian_log_prob_t,
@@ -104,17 +105,20 @@ def default_hidden(state_dim, action_dim):
 
 
 class WorldModel:
-    def __init__(self, state_dim, action_dim, dynamics: Mlp, reward: Mlp):
-        self.state_dim = int(state_dim)
-        self.action_dim = int(action_dim)
-        if dynamics.spec.in_dim != self.state_dim + self.action_dim:
-            raise ValueError("dynamics input must be state_dim + action_dim")
-        if dynamics.spec.out_dim != 2 * self.state_dim:
-            raise ValueError("dynamics must output mean and log-std per state dim")
-        if reward.spec.in_dim != self.state_dim + self.action_dim:
-            raise ValueError("reward input must be state_dim + action_dim")
+    """Dynamics and reward nets over one (state, action) input; the widths
+    follow from the dynamics net's mean and log-std per state dim."""
+
+    def __init__(self, dynamics: Mlp, reward: Mlp):
+        self.state_dim, odd = divmod(dynamics.spec.out_dim, 2)
+        self.action_dim = dynamics.spec.in_dim - self.state_dim
+        if odd:
+            raise ValueError("dynamics output must be a mean and log-std per state dim")
+        if self.action_dim < 1:
+            raise ValueError("dynamics input must hold the state and an action")
+        if reward.spec.in_dim != dynamics.spec.in_dim:
+            raise ValueError("reward input must be the dynamics input")
         if reward.spec.out_dim != 2:
-            raise ValueError("reward must output a scalar mean and log-std")
+            raise ValueError("reward output must be a scalar mean and log-std")
         self.dynamics = dynamics
         self.reward = reward
 
@@ -150,12 +154,19 @@ class WorldModel:
 def build_world_model(state_dim, action_dim, hidden=None, seed=0) -> WorldModel:
     """Dynamics and reward networks, each with tanh hidden layers of the
     widths hidden, default_hidden(state_dim, action_dim) by default."""
+    check_seed("seed", seed)
     hidden = hidden or default_hidden(state_dim, action_dim)
     s_dyn, s_rew = np.random.SeedSequence(seed).spawn(2)
     width_in = state_dim + action_dim
     dyn = Mlp(MlpSpec((width_in, *hidden, 2 * state_dim), activation="tanh"), seed=s_dyn)
     rew = Mlp(MlpSpec((width_in, *hidden, 2), activation="tanh"), seed=s_rew)
-    return WorldModel(state_dim, action_dim, dyn, rew)
+    return WorldModel(dyn, rew)
+
+
+# Array name -> shape; the names are the WorldDataset fields, and WorldDataset
+# and load_world_dataset both check against it.
+_DATASET_SHAPES = {"states": ("n", "s"), "actions": ("n", "a"),
+                   "next_states": ("n", "s"), "rewards": ("n",)}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -166,15 +177,7 @@ class WorldDataset:
     rewards: np.ndarray  # (N,)
 
     def __post_init__(self):
-        for name, dims in _DATASET_SHAPES.items():
-            shape = getattr(self, name).shape
-            if len(shape) != len(dims):
-                raise ValueError(f"{name} must be {len(dims)}-D, got shape {shape}")
-        n = self.states.shape[0]
-        if not (self.actions.shape[0] == self.next_states.shape[0] == self.rewards.shape[0] == n):
-            raise ValueError("inconsistent record counts")
-        if self.states.shape[1] != self.next_states.shape[1]:
-            raise ValueError("state and next_state widths differ")
+        check_shapes("WorldDataset", vars(self), _DATASET_SHAPES)
 
     def __len__(self):
         return self.states.shape[0]
@@ -416,6 +419,9 @@ class WorldTrainConfig:
     batch_size: int = 512
     seed: int = 0
 
+    def __post_init__(self):
+        check_seed("seed", self.seed)
+
 
 def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
                 cfg: WorldTrainConfig, log_path=None, ckpt_path=None):
@@ -469,8 +475,6 @@ def _nets(model: WorldModel):
 def save_world(path, model: WorldModel):
     header = {
         "kind": "world",
-        "state_dim": model.state_dim,
-        "action_dim": model.action_dim,
         "dynamics": model.dynamics.spec.to_dict(),
         "reward": model.reward.spec.to_dict(),
     }
@@ -486,16 +490,11 @@ def load_world(path) -> WorldModel:
     try:
         dyn = Mlp(MlpSpec(**header["dynamics"]), seed=0)
         rew = Mlp(MlpSpec(**header["reward"]), seed=0)
-        model = WorldModel(header["state_dim"], header["action_dim"], dyn, rew)
+        model = WorldModel(dyn, rew)
         set_params(_nets(model), arrays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{path}: not a world-model checkpoint ({exc!r})") from None
     return model
-
-
-# Array name -> shape; the names are the WorldDataset fields.
-_DATASET_SHAPES = {"states": ("n", "s"), "actions": ("n", "a"),
-                   "next_states": ("n", "s"), "rewards": ("n",)}
 
 
 def save_world_dataset(path, ds: WorldDataset):

@@ -6,6 +6,7 @@ import pytest
 from minreal import env
 from minreal.cem import (
     CemConfig,
+    PlanDiagnostics,
     PolicyParams,
     plan,
     refit_policy,
@@ -233,6 +234,14 @@ class TestPlan:
         assert diag.no_iteration_warning
         assert diag.iterations_completed == 0
         np.testing.assert_allclose(action, 0.0)
+
+    @pytest.mark.parametrize("iterations", [0, 1, 10])
+    def test_no_iteration_warning_follows_iterations_completed(self, iterations):
+        diag = PlanDiagnostics(iterations_completed=iterations, best_score=float("nan"),
+                               wall_seconds=0.0)
+        assert diag.no_iteration_warning == (iterations == 0)
+        diag.iterations_completed = 1 - min(iterations, 1)
+        assert diag.no_iteration_warning == (iterations != 0)
 
     def test_budget_checked_between_iterations(self):
         # a tiny budget still completes exactly one iteration

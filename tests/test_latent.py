@@ -14,7 +14,7 @@ from minreal.latent import (
     load_mask,
     save_mask,
 )
-from minreal.nets import save_checkpoint
+from minreal.nets import load_checkpoint, save_checkpoint
 
 
 class TestHoyerSparsity:
@@ -145,19 +145,11 @@ class TestApplyMask:
         np.testing.assert_array_equal(apply_mask(z, mask), z)
 
     def test_selects_in_order(self):
-        mask = LatentMask(
-            keep=np.array([True, False, True]),
-            threshold_used=0.15,
-            importance=np.array([0.5, 0.01, 0.3]),
-        )
+        mask = LatentMask(importance=np.array([0.5, 0.01, 0.3]), threshold_used=0.15)
         np.testing.assert_array_equal(apply_mask(np.array([10.0, 20.0, 30.0]), mask), [10.0, 30.0])
 
     def test_batched(self):
-        mask = LatentMask(
-            keep=np.array([False, True, True]),
-            threshold_used=0.0,
-            importance=np.array([0.0, 1.0, 1.0]),
-        )
+        mask = LatentMask(importance=np.array([0.0, 1.0, 1.0]), threshold_used=0.0)
         z = np.arange(6.0).reshape(2, 3)
         np.testing.assert_array_equal(apply_mask(z, mask), [[1.0, 2.0], [4.0, 5.0]])
 
@@ -180,6 +172,14 @@ class TestMaskFile:
         assert back.threshold_used == mask.threshold_used
         assert back.fallback_used == mask.fallback_used
 
+    def test_file_holds_importance_and_threshold_only(self, tmp_path):
+        path = tmp_path / "mask.bin"
+        save_mask(path, build_mask(np.array([0.01, 0.09]), 0.15))
+        header, arrays = load_checkpoint(path, "mask")
+        assert list(arrays) == ["importance"]
+        assert header == {"kind": "mask", "threshold_used": 0.15,
+                          "arrays": [["importance", [2]]]}
+
     def test_file_bytes_deterministic(self, tmp_path):
         mask = build_mask(np.array([0.3, 0.05, 0.7]), 0.15)
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
@@ -188,23 +188,46 @@ class TestMaskFile:
         assert a.read_bytes() == b.read_bytes()
 
     def test_mask_invariants(self):
-        with pytest.raises(ValueError):
-            LatentMask(keep=np.zeros(3, dtype=bool), threshold_used=0.1,
-                       importance=np.zeros(3))
-        with pytest.raises(ValueError):
-            LatentMask(keep=np.ones(3, dtype=bool), threshold_used=0.1,
-                       importance=np.zeros(4))
+        # The mask is derived, so it always keeps a dim and matches importance.
+        mask = LatentMask(importance=np.zeros(3), threshold_used=0.1)
+        np.testing.assert_array_equal(mask.keep, [True, False, False])
+        assert mask.fallback_used and mask.latent_dim == 3
         with pytest.raises(ValueError, match="importance"):
-            LatentMask(keep=np.ones(2, dtype=bool), threshold_used=0.1,
-                       importance=np.array([np.nan, 0.3]))
+            LatentMask(importance=np.array([np.nan, 0.3]), threshold_used=0.1)
+
+    @pytest.mark.parametrize("importance", [
+        pytest.param(np.ones((2, 2)), id="2d"),
+        pytest.param(np.ones((1, 3)), id="row"),
+        pytest.param(np.array(0.5), id="scalar"),
+        pytest.param(np.zeros(0), id="empty"),
+    ])
+    def test_importance_must_be_a_nonempty_vector(self, importance):
+        # A (2, 2) importance once gave a mask over latent_dim 4.
+        with pytest.raises(ValueError, match="importance"):
+            build_mask(importance, 0.1)
+        with pytest.raises(ValueError, match="importance"):
+            LatentMask(importance=importance, threshold_used=0.1)
+
+    @pytest.mark.parametrize("importance, threshold", [
+        ([0.5, 0.01, 0.3], 0.15), ([0.01, 0.09, 0.02], 0.15), ([0.2, 0.5], np.inf),
+        ([0.2, 0.2, 0.1], 0.2), ([0.0, 0.0], 0.0),
+    ])
+    def test_keep_follows_importance_and_threshold(self, importance, threshold):
+        mask = LatentMask(importance=np.array(importance), threshold_used=threshold)
+        want = np.array(importance) > threshold
+        assert mask.fallback_used == (not want.any())
+        if mask.fallback_used:
+            want[np.argmax(importance)] = True
+        assert mask.keep.dtype == bool
+        np.testing.assert_array_equal(mask.keep, want)
+        assert mask.kept_dim == want.sum()
 
     @pytest.mark.parametrize("threshold", [np.nan, -0.1, -np.inf])
     def test_threshold_must_be_non_negative(self, threshold):
         # build_mask rejects these thresholds; a mask built directly or
         # loaded from a file once kept them.
         with pytest.raises(ValueError, match="threshold"):
-            LatentMask(keep=np.ones(2, dtype=bool), threshold_used=threshold,
-                       importance=np.ones(2))
+            LatentMask(importance=np.ones(2), threshold_used=threshold)
 
     def test_infinite_threshold_allowed(self):
         # build_mask(importance, inf) falls back to the most important dim.
@@ -215,11 +238,11 @@ class TestMaskFile:
 class TestMaskFileRejectsMalformed:
     """Each malformed mask file raises ValueError naming the file."""
 
-    HEADER = {"kind": "mask", "threshold_used": 0.1, "fallback_used": False}
+    HEADER = {"kind": "mask", "threshold_used": 0.1}
 
     def write(self, tmp_path, header=None, **arrays):
         path = tmp_path / "bad_mask.bin"
-        arrays = arrays or {"keep": np.array([1.0, 0.0]), "importance": np.array([0.5, 0.05])}
+        arrays = arrays or {"importance": np.array([0.5, 0.05])}
         save_checkpoint(path, header or self.HEADER, arrays)
         return path
 
@@ -227,12 +250,25 @@ class TestMaskFileRejectsMalformed:
         mask = load_mask(self.write(tmp_path))
         np.testing.assert_array_equal(mask.keep, [True, False])
 
+    def test_parent_format_file_rejected(self, tmp_path):
+        # The format that stored keep and fallback_used beside importance
+        # and threshold_used, which they follow from.
+        path = self.write(tmp_path, header={**self.HEADER, "fallback_used": False},
+                          keep=np.array([1.0, 0.0]), importance=np.array([0.5, 0.05]))
+        with pytest.raises(ValueError, match="bad_mask.bin.*keep"):
+            load_mask(path)
+
+    def test_empty_importance_rejected(self, tmp_path):
+        path = self.write(tmp_path, importance=np.zeros(0))
+        with pytest.raises(ValueError, match="bad_mask.bin.*importance"):
+            load_mask(path)
+
     def test_repeated_array_name(self, tmp_path):
         path = self.write(tmp_path)
         raw = path.read_bytes()
         hlen = int.from_bytes(raw[8:12], "little")
         header = json.loads(raw[12 : 12 + hlen])
-        header["arrays"] = [["keep", [2]], ["keep", [2]]]
+        header["arrays"] = [["importance", [1]], ["importance", [1]]]
         blob = json.dumps(header).encode()
         path.write_bytes(raw[:8] + len(blob).to_bytes(4, "little") + blob + raw[12 + hlen :])
         with pytest.raises(ValueError, match="bad_mask.bin"):
@@ -241,20 +277,9 @@ class TestMaskFileRejectsMalformed:
     @pytest.mark.parametrize("entry", ["importance", "threshold_used"])
     def test_missing_entry(self, tmp_path, entry):
         if entry == "importance":
-            path = self.write(tmp_path, keep=np.array([1.0, 0.0]))
+            path = self.write(tmp_path, weight=np.array([0.5, 0.05]))
         else:
-            path = self.write(tmp_path, header={"kind": "mask", "fallback_used": False})
-        with pytest.raises(ValueError, match="bad_mask.bin"):
-            load_mask(path)
-
-    @pytest.mark.parametrize("flag", [2, -1])
-    def test_keep_flag_not_zero_or_one(self, tmp_path, flag):
-        path = self.write(tmp_path, keep=np.array([1.0, flag]), importance=np.ones(2))
-        with pytest.raises(ValueError, match="bad_mask.bin"):
-            load_mask(path)
-
-    def test_keeps_no_dimension(self, tmp_path):
-        path = self.write(tmp_path, keep=np.zeros(2), importance=np.ones(2))
+            path = self.write(tmp_path, header={"kind": "mask"})
         with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)
 
@@ -264,7 +289,3 @@ class TestMaskFileRejectsMalformed:
         with pytest.raises(ValueError, match="bad_mask.bin"):
             load_mask(path)
 
-    def test_keep_and_importance_lengths_differ(self, tmp_path):
-        path = self.write(tmp_path, keep=np.ones(2), importance=np.ones(3))
-        with pytest.raises(ValueError, match="bad_mask.bin"):
-            load_mask(path)

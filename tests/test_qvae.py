@@ -10,7 +10,7 @@ import pytest
 
 from minreal import autodiff as ad
 from minreal.errors import ConfigError, TrainingAbort
-from minreal.nets import CB_LOGIT_CLAMP
+from minreal.nets import CB_LOGIT_CLAMP, Mlp, MlpSpec, load_checkpoint
 from minreal.qvae import (
     RECON_BLOCK_ROWS,
     ObservationClass,
@@ -156,6 +156,55 @@ def assert_loss_gradient_matches_fd(model, x, noise, monkeypatch=None):
         else:
             numeric = in_float64(monkeypatch, lambda: fd_grad(f, p.data.copy()))
             assert_within_largest(analytic, numeric, F32_GRAD_TOL)
+
+
+class TestObservationClass:
+    @pytest.mark.parametrize("width", [2.5, 2.0, True, 0, -1])
+    def test_width_must_be_a_positive_integer(self, width):
+        # 2.5 was once accepted with raw_width 5.0, and True as width 1.
+        with pytest.raises(ConfigError, match="width"):
+            ObservationClass("a", "diag_gaussian", width)
+
+    def test_numpy_integer_width_stored_as_int(self):
+        cls = ObservationClass("a", "diag_gaussian", np.int64(3))
+        assert type(cls.width) is int and cls.raw_width == 6
+
+
+class TestModelWidths:
+    """QvaeModel takes |Z| from its encoder, which outputs a mean and a
+    log-std per latent dim, and checks every decoder against it."""
+
+    def nets(self, encoder_out=6, decoder_in=3):
+        encoder = Mlp(MlpSpec((6, 5, encoder_out)))
+        decoders = [Mlp(MlpSpec((decoder_in, 5, c.raw_width))) for c in TINY_CLASSES]
+        return encoder, decoders
+
+    def test_latent_dim_from_encoder(self):
+        model = QvaeModel(TINY_CLASSES, *self.nets(), QP_TABLE)
+        assert model.latent_dim == 3 and model.obs_dim == 6
+        assert tiny_model(latent_dim=5).latent_dim == 5
+
+    def test_odd_encoder_output_rejected(self):
+        with pytest.raises(ConfigError, match="encoder output"):
+            QvaeModel(TINY_CLASSES, *self.nets(encoder_out=7), QP_TABLE)
+
+    def test_decoder_input_must_be_latent_dim(self):
+        with pytest.raises(ConfigError, match="decoder"):
+            QvaeModel(TINY_CLASSES, *self.nets(decoder_in=4), QP_TABLE)
+
+    def test_one_decoder_per_class(self):
+        # One decoder short was once accepted, and recon_mse then raised
+        # numpy's "Output array is the wrong shape".
+        encoder, decoders = self.nets()
+        with pytest.raises(ConfigError, match="decoders"):
+            QvaeModel(TINY_CLASSES, encoder, decoders[:1], QP_TABLE)
+
+    def test_checkpoint_header_holds_no_latent_dim(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_qvae(path, tiny_model(latent_dim=4))
+        header, _ = load_checkpoint(path, "qvae")
+        assert "latent_dim" not in header
+        assert load_qvae(path).latent_dim == 4
 
 
 class TestEncodeDecode:

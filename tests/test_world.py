@@ -17,11 +17,13 @@ import pytest
 from minreal import autodiff as ad
 from minreal import cem, world
 from minreal.latent import build_mask
+from minreal.nets import Mlp, MlpSpec, load_checkpoint
 from minreal.qvae import ObservationClass, build_qvae
 from minreal.tsallis import QParams
 from minreal.world import (
     ROLLOUT_WORKERS,
     WorldDataset,
+    WorldModel,
     WorldTrainConfig,
     build_world_model,
     encode_dataset,
@@ -799,6 +801,39 @@ class TestTrainWorld:
         assert [(d["stage"], d["epoch"]) for d in lines] == [
             ("world", e) for e in range(1, 41)]
         assert [d["record"] for d in lines] == records
+
+
+class TestModelWidths:
+    """WorldModel takes its state width from the dynamics output, a mean and
+    a log-std per state dim, and its action width from the rest of the
+    input, which the reward net shares."""
+
+    @staticmethod
+    def nets(dynamics=(5, 4, 6), reward=(5, 4, 2)):
+        return Mlp(MlpSpec(dynamics, "tanh")), Mlp(MlpSpec(reward, "tanh"))
+
+    def test_widths_from_dynamics_net(self):
+        model = WorldModel(*self.nets())
+        assert (model.state_dim, model.action_dim) == (3, 2)
+        model = build_world_model(4, 1, hidden=(3,))
+        assert (model.state_dim, model.action_dim) == (4, 1)
+
+    @pytest.mark.parametrize("dynamics, reward, match", [
+        ((5, 4, 7), (5, 4, 2), "dynamics output"),
+        ((5, 4, 10), (5, 4, 2), "action"),  # a state of 5 leaves no action
+        ((5, 4, 6), (4, 4, 2), "reward input"),
+        ((5, 4, 6), (6, 4, 2), "reward input"),
+        ((5, 4, 6), (5, 4, 4), "reward output"),
+    ])
+    def test_inconsistent_nets_rejected(self, dynamics, reward, match):
+        with pytest.raises(ValueError, match=match):
+            WorldModel(*self.nets(dynamics, reward))
+
+    def test_checkpoint_header_holds_no_widths(self, tmp_path):
+        path = tmp_path / "w.ckpt"
+        save_world(path, build_world_model(3, 2, hidden=(4,)))
+        header, _ = load_checkpoint(path, "world")
+        assert "state_dim" not in header and "action_dim" not in header
 
 
 class TestWorldPersistence:
