@@ -18,17 +18,18 @@ policy is bitwise the same.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import time
 
 import numpy as np
 
-from .errors import ConfigError, check_int, check_seed
+from .errors import ConfigError, check_finite, check_int, check_seed
 from .world import rollout_batch
 
 STD_FLOOR = 1e-3
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class PolicyParams:
     """Per-(step, action dim) mean and standard deviation of the proposal."""
 
@@ -36,20 +37,21 @@ class PolicyParams:
     std: np.ndarray
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
+        mean = check_finite("mean", self.mean)
+        std = check_finite("std", self.std)
         if mean.shape != std.shape:
             raise ValueError("mean and std must have the same shape")
-        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
-            raise ValueError("mean and std must be finite")
         if np.any(std <= 0.0):
             raise ValueError("std must be positive")
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "std", np.maximum(std, STD_FLOOR))
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class CemConfig:
+    """Planner settings; a ConfigError names a field that is not of its
+    type or range. The action bounds are nonempty vectors, low < high."""
+
     action_low: np.ndarray
     action_high: np.ndarray
     horizon: int = 5
@@ -62,20 +64,24 @@ class CemConfig:
     def __post_init__(self):
         for name, minimum in (("horizon", 0), ("candidates", 1), ("max_iters", 0)):
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
-        lo = np.asarray(self.action_low, dtype=np.float64)
-        hi = np.asarray(self.action_high, dtype=np.float64)
-        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-            raise ConfigError(f"action bounds must be finite, got {lo} and {hi}")
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        for name in ("elite_ratio", "smoothing"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < 1:
+                raise ConfigError(f"{name} must be a real number in (0, 1), got {value!r}")
+        budget = self.time_budget
+        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, numbers.Real)
+                                   or np.isnan(budget)):
+            raise ConfigError(f"time_budget must be a real number other than NaN, or None, "
+                              f"got {budget!r}")
+        lo = check_finite("action_low", self.action_low, ConfigError)
+        hi = check_finite("action_high", self.action_high, ConfigError)
+        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
+            raise ConfigError(f"action_low and action_high must be nonempty vectors of one "
+                              f"shape, got shapes {lo.shape} and {hi.shape}")
+        if np.any(lo >= hi):
             raise ConfigError("action bounds must satisfy low < high per dim")
         object.__setattr__(self, "action_low", lo)
         object.__setattr__(self, "action_high", hi)
-        if not (0.0 < self.elite_ratio < 1.0):
-            raise ConfigError(f"elite ratio must be in (0, 1), got {self.elite_ratio}")
-        if not (0.0 < self.smoothing < 1.0):
-            raise ConfigError(f"smoothing must be in (0, 1), got {self.smoothing}")
-        if self.time_budget is not None and np.isnan(self.time_budget):
-            raise ConfigError("time_budget must not be NaN")
         if int(np.floor(self.elite_ratio * self.candidates)) < 1:
             raise ConfigError(
                 f"floor(elite_ratio * candidates) must be >= 1, got "
@@ -98,7 +104,7 @@ class CemConfig:
         )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(eq=False)
 class PlanDiagnostics:
     iterations_completed: int
     best_score: float
@@ -173,8 +179,7 @@ def plan(model, s0, config: CemConfig, seed, initial_policy=None):
     seed a ConfigError (errors.check_seed).
     """
     check_seed("seed", seed)
-    if not np.isfinite(s0).all():
-        raise ValueError(f"s0 must be finite, got {s0}")
+    check_finite("s0", s0)
     start = time.perf_counter()
     rng = np.random.default_rng(seed)
     policy = initial_policy if initial_policy is not None else config.initial_policy()

@@ -71,7 +71,7 @@ SPAWN_DX = 0.15
 SPAWN_DY = (0.2, 0.4)
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DotReacherState:
     pos: np.ndarray  # (2,) in [0, 1]^2
     vel: np.ndarray  # (2,) in [-V_MAX, V_MAX]^2
@@ -99,7 +99,7 @@ class DotReacherState:
         return self.pos[None], self.vel[None], np.array([self.target_height])
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Observation:
     image: np.ndarray  # (16, 16) grayscale in [0, 1]
     proprio: np.ndarray  # (4,) = (pos, vel)
@@ -269,7 +269,7 @@ def scripted_action(state: DotReacherState, rng=None, noise_std=0.0):
     return scripted_action_batch(*state.rows(), noise)[0]
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class Transition:
     obs: Observation
     action: np.ndarray

@@ -8,12 +8,13 @@ import warnings
 
 import numpy as np
 
+from .errors import check_finite
 from .nets import check_arrays, load_checkpoint, save_checkpoint
 
 DEFAULT_IMPORTANCE_THRESHOLD = 0.15
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class LatentMask:
     """The dimensions to keep, from importance and threshold_used alone:
     those above the threshold or, if none is, the most important one
@@ -26,11 +27,9 @@ class LatentMask:
     fallback_used: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
-        importance = np.asarray(self.importance, dtype=np.float64)
+        importance = check_finite("importance", self.importance)
         if importance.ndim != 1 or importance.size == 0:
             raise ValueError(f"importance of shape {importance.shape} is not a vector")
-        if not np.isfinite(importance).all():
-            raise ValueError(f"non-finite importance {importance}")
         if not self.threshold_used >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold_used}")
         keep = importance > self.threshold_used
@@ -59,9 +58,7 @@ def hoyer_sparsity(encodings) -> float:
     warning since it signals a fully collapsed encoder. A non-finite value
     is a ValueError.
     """
-    z = np.atleast_2d(np.asarray(encodings, dtype=np.float64))
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite encodings")
+    z = np.atleast_2d(check_finite("encodings", encodings))
     n, d = z.shape
     if n == 0:
         raise ValueError("need at least one encoding")
@@ -84,9 +81,7 @@ def hoyer_sparsity(encodings) -> float:
 def dim_importance(encodings) -> np.ndarray:
     """Unbiased sample standard deviation of each latent dimension. A
     non-finite value is a ValueError."""
-    z = np.atleast_2d(np.asarray(encodings, dtype=np.float64))
-    if not np.isfinite(z).all():
-        raise ValueError("non-finite encodings")
+    z = np.atleast_2d(check_finite("encodings", encodings))
     if z.shape[0] < 2:
         raise ValueError("need at least 2 samples for a sample std")
     return z.std(axis=0, ddof=1)

@@ -43,7 +43,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, MissingArtifact, TrainingAbort, check_int
+from .errors import ConfigError, MissingArtifact, TrainingAbort, check_finite, check_int
 
 _MAGIC = b"MRCKPT02"
 
@@ -600,6 +600,5 @@ def check_arrays(path, arrays, shapes):
         raise ValueError(f"{path}: arrays {list(arrays)}, expected {list(shapes)}")
     check_shapes(path, arrays, shapes)
     for name, a in arrays.items():
-        if not np.isfinite(a).all():
-            raise ValueError(f"{path}: non-finite values in {name!r}")
+        check_finite(f"{name!r} of {path}", a)
     return list(arrays.values())

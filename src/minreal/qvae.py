@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingAbort, check_int, check_seed
+from .errors import ConfigError, TrainingAbort, check_finite, check_int, check_seed
 from .nets import (
     CB_LOGIT_CLAMP,
     Adam,
@@ -139,11 +139,7 @@ class QvaeModel:
         """Posterior belief over the latent space; deterministic. Non-finite
         x is a ValueError."""
         x, _ = self.split_observation(x)
-        # A block at a time: np.isfinite(x) whole would be a bool array of
-        # x's size, 1.6 MB on 6 300 rows of the paper's observations.
-        for start in range(0, x.shape[0], RECON_BLOCK_ROWS):
-            if not np.isfinite(x[start : start + RECON_BLOCK_ROWS]).all():
-                raise ValueError("non-finite values in x")
+        check_finite("x", x)
         mean, log_std = gaussian_head(self.encoder.forward_np(x), self.latent_dim)
         return DiagGaussian(mean=mean, log_std=log_std)
 
@@ -193,8 +189,7 @@ class QvaeModel:
 
 
 # recon_mse reconstructs and scores x this many rows at a time, so that the
-# reconstruction, lambda and the error of all of x are never held at once;
-# QvaeModel.encode checks x for finiteness in blocks of this size too. At
+# reconstruction, lambda and the error of all of x are never held at once. At
 # the paper's observation width (260) a block's reconstruction is 1 024 x 260
 # x 8 B = 2.1 MB; on 6 000 rows tracemalloc puts the peak of recon_mse at
 # 6.6 MiB, against 26.7 MiB in one piece.
@@ -377,8 +372,7 @@ def train_qvae(model: QvaeModel, x_data, cfg: TrainConfig, log_path=None, ckpt_p
     x_data, blocks = model.split_observation(x_data)
     if x_data.shape[0] == 0:
         raise ValueError("dataset must be nonempty")
-    if not np.isfinite(x_data).all():
-        raise ValueError("non-finite values in x_data")
+    check_finite("x_data", x_data)
     for cls, block in zip(model.classes, blocks):
         if cls.kind == "continuous_bernoulli" and ((block < 0) | (block > 1)).any():
             raise ValueError(f"x_data values of continuous-Bernoulli class {cls.name!r} "

@@ -17,25 +17,18 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 
 # Clamp for exponents of the form (1-q)*log p before exp(); the loss counts
 # saturated entries so silent clipping is observable.
 MAX_EXPONENT = 50.0
 
 
-def _as_float_array(x, name):
-    arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return arr
-
-
 def _scalar_or_array(result, x):
     return float(result) if np.ndim(x) == 0 else result
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class DiagGaussian:
     """Diagonal Gaussian given by mean and log standard deviation, both
     finite. Arrays may be vectors or batches; mean and log_std must share a
@@ -46,8 +39,8 @@ class DiagGaussian:
     log_std: np.ndarray
 
     def __post_init__(self):
-        mean = _as_float_array(self.mean, "mean")
-        log_std = _as_float_array(self.log_std, "log_std")
+        mean = check_finite("mean", self.mean)
+        log_std = check_finite("log_std", self.log_std)
         if mean.shape != log_std.shape:
             raise ValueError(
                 f"mean shape {mean.shape} != log_std shape {log_std.shape}"
@@ -73,14 +66,10 @@ class QParams:
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "class_qs", tuple(float(v) for v in self.class_qs))
-        object.__setattr__(
-            self, "class_weights", tuple(float(v) for v in self.class_weights)
-        )
-        q = float(self.q)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "beta", float(self.beta))
-        object.__setattr__(self, "gamma", float(self.gamma))
+        for name in ("q", "beta", "gamma", "class_qs", "class_weights"):
+            value = check_finite(name, getattr(self, name), ConfigError).tolist()
+            object.__setattr__(self, name, tuple(value) if name.startswith("class") else value)
+        q = self.q
         if not (0.0 < q <= 1.0):
             raise ConfigError(f"q must be in (0, 1], got {q}")
         if len(self.class_qs) == 0:
@@ -90,10 +79,6 @@ class QParams:
                 f"class_qs has length {len(self.class_qs)} but class_weights "
                 f"has length {len(self.class_weights)}"
             )
-        if not np.isfinite((self.beta, self.gamma, *self.class_qs,
-                            *self.class_weights)).all():
-            raise ConfigError(
-                f"beta, gamma, class_qs and class_weights must be finite: {self}")
         if any(w <= 0 for w in self.class_weights):
             raise ConfigError(f"class_weights must be positive, got {self.class_weights}")
         if self.beta <= 0 or self.gamma <= 0:
@@ -145,7 +130,7 @@ def q_log(x, q):
 
     x must be positive and finite; accepts scalars or arrays.
     """
-    arr = _as_float_array(x, "x")
+    arr = check_finite("x", x)
     if np.any(arr <= 0.0):
         raise ValueError(f"q_log requires x > 0, got {x!r}")
     if q == 1.0:

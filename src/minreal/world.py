@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import TrainingAbort, check_seed
+from .errors import TrainingAbort, check_finite, check_seed
 from .nets import (
     Adam,
     Mlp,
@@ -169,7 +169,7 @@ _DATASET_SHAPES = {"states": ("n", "s"), "actions": ("n", "a"),
                    "next_states": ("n", "s"), "rewards": ("n",)}
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, eq=False)
 class WorldDataset:
     states: np.ndarray  # (N, S)
     actions: np.ndarray  # (N, A)
@@ -231,21 +231,14 @@ def wm_loss(model: WorldModel, batch: WorldDataset):
     return loss, (-float(dyn_lp.data.mean()), -float(rew_lp.data.mean()))
 
 
-def _check_finite(ds: WorldDataset, label):
-    """A ValueError naming the array (label.field) that holds a non-finite
-    value."""
-    for name in _DATASET_SHAPES:
-        if not np.isfinite(getattr(ds, name)).all():
-            raise ValueError(f"non-finite values in {label}.{name}")
-
-
 def heldout_nll(model: WorldModel, ds: WorldDataset):
     """Held-out NLL: wm_loss's heads (_log_probs) run tape-free on the
     forward_np outputs. Returns (total, dynamics, reward) means. An empty ds
     or a non-finite value in it is a ValueError naming the array."""
     if len(ds) == 0:
         raise ValueError("ds must be nonempty")
-    _check_finite(ds, "ds")
+    for name in _DATASET_SHAPES:
+        check_finite(f"ds.{name}", getattr(ds, name))
     x = np.hstack([ds.states, ds.actions])
     dyn_lp, rew_lp = _log_probs(model.dynamics.forward_np(x), model.reward.forward_np(x), ds)
     dyn_nll = -float(dyn_lp.data.mean())
@@ -435,8 +428,9 @@ def train_world(model: WorldModel, train_ds: WorldDataset, val_ds: WorldDataset,
     checkpoint."""
     if len(train_ds) == 0 or len(val_ds) == 0:
         raise ValueError("train_ds and val_ds must be nonempty")
-    _check_finite(train_ds, "train_ds")
-    _check_finite(val_ds, "val_ds")
+    for label, ds in (("train_ds", train_ds), ("val_ds", val_ds)):
+        for name in _DATASET_SHAPES:
+            check_finite(f"{label}.{name}", getattr(ds, name))
     opt = Adam(model.parameters(), [DYNAMICS_LEARNING_RATE, REWARD_LEARNING_RATE])
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x37D1]))
 

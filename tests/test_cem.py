@@ -329,6 +329,37 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="finite"):
             config(action_low=np.array(low), action_high=np.array(high))
 
+    @pytest.mark.parametrize("low, high", [
+        # Each was once accepted: empty bounds as action_dim 0, (2, 2) ones
+        # as action_dim 4, scalar ones as action_dim 1, and (1, 2) ones made
+        # plan return a (1, 2) action.
+        (np.zeros(0), np.zeros(0)),
+        (-np.ones((2, 2)), np.ones((2, 2))),
+        (-1.0, 1.0),
+        (-np.ones((1, 2)), np.ones((1, 2))),
+        (-np.ones(2), np.ones(3)),
+    ], ids=["empty", "2x2", "scalar", "1x2", "mismatch"])
+    def test_bounds_must_be_nonempty_vectors(self, low, high):
+        with pytest.raises(ConfigError, match="action_low and action_high"):
+            config(action_low=low, action_high=high)
+
+    @pytest.mark.parametrize("field, value", [
+        # The strings and None once raised a raw TypeError, and True was
+        # accepted as a one-second budget.
+        ("time_budget", "1"), ("elite_ratio", "0.1"), ("smoothing", None),
+        ("time_budget", True), ("elite_ratio", np.bool_(False)), ("smoothing", [0.4]),
+    ])
+    def test_rates_and_budget_must_be_real_numbers(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+            config(**{field: value})
+
+    def test_numpy_reals_accepted(self):
+        cfg = config(elite_ratio=np.float32(0.01), smoothing=np.float64(0.4),
+                     time_budget=np.int64(2))
+        assert (cfg.elite_ratio, cfg.smoothing, cfg.time_budget) == (
+            np.float32(0.01), 0.4, 2)
+        assert config(time_budget=None).time_budget is None
+
     def test_negative_max_iters(self):
         with pytest.raises(ConfigError, match="max_iters"):
             config(max_iters=-3)

@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 
 from minreal import env, qvae
+from minreal.errors import check_finite
 from minreal.tsallis import QParams
 
 CLASSES = (
@@ -49,3 +50,10 @@ def test_encode_checks_finiteness_without_an_x_sized_temporary():
     x = np.random.default_rng(0).uniform(size=(6300, env.OBS_DIM))
     peak = traced_peak(lambda: model.encode(x))
     assert peak < x.size // 4
+
+
+def test_check_finite_allocates_less_than_a_bool_mask():
+    # np.isfinite(x) whole would be a bool array of x.size bytes: 1.56 MB.
+    x = np.random.default_rng(0).uniform(size=(6000, env.OBS_DIM))
+    peak = traced_peak(lambda: check_finite("x", x))
+    assert peak < x.size
