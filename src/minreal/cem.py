@@ -18,12 +18,11 @@ policy is bitwise the same.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 import time
 
 import numpy as np
 
-from .errors import ConfigError, check_finite, check_int, check_seed
+from .errors import ConfigError, check_finite, check_int, check_real, check_seed
 from .world import rollout_batch
 
 STD_FLOOR = 1e-3
@@ -49,8 +48,8 @@ class PolicyParams:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class CemConfig:
-    """Planner settings; a ConfigError names a field that is not of its
-    type or range. The action bounds are nonempty vectors, low < high."""
+    """Planner settings; a ConfigError names a field that is not of its type
+    or range. Bounds are nonempty vectors, low < high; reals are kept as given."""
 
     action_low: np.ndarray
     action_high: np.ndarray
@@ -66,13 +65,10 @@ class CemConfig:
             object.__setattr__(self, name, check_int(name, getattr(self, name), minimum))
         for name in ("elite_ratio", "smoothing"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < 1:
-                raise ConfigError(f"{name} must be a real number in (0, 1), got {value!r}")
-        budget = self.time_budget
-        if budget is not None and (isinstance(budget, bool) or not isinstance(budget, numbers.Real)
-                                   or np.isnan(budget)):
-            raise ConfigError(f"time_budget must be a real number other than NaN, or None, "
-                              f"got {budget!r}")
+            if not 0 < check_real(name, value) < 1:
+                raise ConfigError(f"{name} must be in (0, 1), got {value!r}")
+        if self.time_budget is not None and np.isnan(check_real("time_budget", self.time_budget)):
+            raise ConfigError("time_budget must not be NaN")
         lo = check_finite("action_low", self.action_low, ConfigError)
         hi = check_finite("action_high", self.action_high, ConfigError)
         if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:

@@ -1,6 +1,6 @@
 """Shared exception types, each naming the exit code that a command-line
 front end is to map it to (the package has none yet), and the input checks
-that raise them: check_int, check_seed and check_finite."""
+that raise them: check_int, check_seed, check_real and check_finite."""
 
 import math
 import numbers
@@ -29,6 +29,13 @@ def check_seed(name, value):
     np.random.SeedSequence takes, bools excluded."""
     for v in value if isinstance(value, (list, tuple)) else [value]:
         check_int(name, v, 0)
+
+
+def check_real(name, value):
+    """value as a float; a bool or a non-real value is a ConfigError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 # check_finite scans as many rows (first-axis slices) as fit in this many

@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 
-from .errors import check_finite
+from .errors import check_finite, check_real
 from .nets import check_arrays, load_checkpoint, save_checkpoint
 
 DEFAULT_IMPORTANCE_THRESHOLD = 0.15
@@ -19,7 +19,7 @@ class LatentMask:
     """The dimensions to keep, from importance and threshold_used alone:
     those above the threshold or, if none is, the most important one
     (fallback_used). An importance that is not a nonempty finite vector, or
-    a negative or NaN threshold, is a ValueError."""
+    a threshold that is not a real number >= 0, is a ValueError."""
 
     importance: np.ndarray
     threshold_used: float
@@ -30,6 +30,8 @@ class LatentMask:
         importance = check_finite("importance", self.importance)
         if importance.ndim != 1 or importance.size == 0:
             raise ValueError(f"importance of shape {importance.shape} is not a vector")
+        object.__setattr__(self, "threshold_used",
+                           check_real("threshold_used", self.threshold_used))
         if not self.threshold_used >= 0:
             raise ValueError(f"threshold must be >= 0, got {self.threshold_used}")
         keep = importance > self.threshold_used
@@ -37,7 +39,6 @@ class LatentMask:
         if fallback:
             keep[np.argmax(importance)] = True
         object.__setattr__(self, "importance", importance)
-        object.__setattr__(self, "threshold_used", float(self.threshold_used))
         object.__setattr__(self, "keep", keep)
         object.__setattr__(self, "fallback_used", fallback)
 
@@ -114,14 +115,11 @@ def load_mask(path) -> LatentMask:
     """Raises MissingArtifact if the file is absent and a ValueError naming
     it if it is not a well-formed mask file (see nets.load_checkpoint), if
     it holds other arrays than one finite importance vector (such as the
-    keep array of earlier files), or if the threshold is not a number or
-    LatentMask rejects the mask."""
+    keep array of earlier files), or if LatentMask rejects the mask, its
+    threshold included."""
     header, arrays = load_checkpoint(path, "mask")
     (importance,) = check_arrays(path, arrays, {"importance": ("d",)})
-    threshold = header.get("threshold_used")
-    if type(threshold) not in (int, float):
-        raise ValueError(f"{path}: bad threshold_used {threshold!r}")
     try:
-        return LatentMask(importance, threshold)
+        return LatentMask(importance, header.get("threshold_used"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -43,7 +43,7 @@ import os
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, MissingArtifact, TrainingAbort, check_finite, check_int
+from .errors import ConfigError, MissingArtifact, TrainingAbort, check_finite, check_int, check_real
 
 _MAGIC = b"MRCKPT02"
 
@@ -86,6 +86,8 @@ class MlpSpec:
     activation: str = "swish"
 
     def __post_init__(self):
+        if not isinstance(self.layer_widths, (list, tuple)):
+            raise ConfigError(f"layer_widths must be a list or tuple, got {self.layer_widths!r}")
         object.__setattr__(self, "layer_widths",
                            tuple(check_int("layer width", w, 1) for w in self.layer_widths))
         if len(self.layer_widths) < 3:
@@ -279,7 +281,7 @@ class Adam:
 
     def __init__(self, params, learning_rates):
         self.params = list(params)
-        self.learning_rates = [float(lr) for lr in learning_rates]
+        self.learning_rates = [check_real("learning_rates", lr) for lr in learning_rates]
         if (len(self.learning_rates) != len(self.params)
                 or not all(0 < lr < math.inf for lr in self.learning_rates)):
             raise ConfigError(f"need one positive, finite learning rate per parameter, "
@@ -330,11 +332,9 @@ def fit(opt, n, epochs, batch_size, rng, loss, summarize, stage, log_path=None,
     are restored to their values after the last whole epoch (the start if
     none finished), the exception's diagnostics get the epoch it arose in
     (counted from 1) as "epoch", save() is called and the exception
-    re-raised. save() is also called after the last epoch. A batch_size
-    below 1, negative epochs or either not an integer (check_int) is a
-    ConfigError before any step, log line or save.
+    re-raised. save() is also called after the last epoch. epochs and
+    batch_size are taken as given: the stages' configs check them when built.
     """
-    epochs, batch_size = check_int("epochs", epochs, 0), check_int("batch_size", batch_size, 1)
 
     def step(idx):
         loss_t, record = loss(idx)

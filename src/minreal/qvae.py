@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, TrainingAbort, check_finite, check_int, check_seed
+from .errors import ConfigError, TrainingAbort, check_finite, check_int, check_real, check_seed
 from .nets import (
     CB_LOGIT_CLAMP,
     Adam,
@@ -356,6 +356,9 @@ class TrainConfig:
     learning_rate: float = 1e-3
 
     def __post_init__(self):
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
+        check_real("learning_rate", self.learning_rate)
         check_seed("seed", self.seed)
 
 
@@ -421,6 +424,7 @@ def build_qvae(
     decoder_hidden is one width tuple per class; defaults to the reversed
     encoder widths for every class.
     """
+    latent_dim = check_int("latent_dim", latent_dim, 1)
     check_seed("seed", seed)
     classes = validate_classes(classes)
     obs_dim = sum(c.width for c in classes)

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import ConfigError, check_finite
+from .errors import ConfigError, check_finite, check_real
 
 # Clamp for exponents of the form (1-q)*log p before exp(); the loss counts
 # saturated entries so silent clipping is observable.
@@ -66,9 +66,15 @@ class QParams:
     gamma: float
 
     def __post_init__(self):
+        for name in ("q", "beta", "gamma"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
+        for name in ("class_qs", "class_weights"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{name} must be a list or tuple, got {value!r}")
+            object.__setattr__(self, name, tuple(check_real(name, v) for v in value))
         for name in ("q", "beta", "gamma", "class_qs", "class_weights"):
-            value = check_finite(name, getattr(self, name), ConfigError).tolist()
-            object.__setattr__(self, name, tuple(value) if name.startswith("class") else value)
+            check_finite(name, getattr(self, name), ConfigError)
         q = self.q
         if not (0.0 < q <= 1.0):
             raise ConfigError(f"q must be in (0, 1], got {q}")

@@ -51,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .errors import TrainingAbort, check_finite, check_seed
+from .errors import TrainingAbort, check_finite, check_int, check_seed
 from .nets import (
     Adam,
     Mlp,
@@ -154,6 +154,8 @@ class WorldModel:
 def build_world_model(state_dim, action_dim, hidden=None, seed=0) -> WorldModel:
     """Dynamics and reward networks, each with tanh hidden layers of the
     widths hidden, default_hidden(state_dim, action_dim) by default."""
+    state_dim = check_int("state_dim", state_dim, 1)
+    action_dim = check_int("action_dim", action_dim, 1)
     check_seed("seed", seed)
     hidden = hidden or default_hidden(state_dim, action_dim)
     s_dyn, s_rew = np.random.SeedSequence(seed).spawn(2)
@@ -413,6 +415,8 @@ class WorldTrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_int("epochs", self.epochs, 0)
+        check_int("batch_size", self.batch_size, 1)
         check_seed("seed", self.seed)
 
 

@@ -2,16 +2,20 @@
 every entry point that takes a seed: a bad seed is a ConfigError naming the
 field before any draw. errors.check_finite, and the finiteness check at
 every entry point that validates an array: a NaN or infinity is an error
-naming the input."""
+naming the input. errors.check_real, and the real-number check of every
+real-valued field: anything but a real, non-bool number is a ConfigError
+naming the field when its config is built. The integer fields of the
+training configs and the builders' widths are checked the same way."""
 
 import re
 
 import numpy as np
 import pytest
 
+from minreal import autodiff as ad
 from minreal import cem, env, latent, nets, qvae, tsallis, world
 from minreal.errors import (FINITE_BLOCK_ELEMENTS, ConfigError, check_finite, check_int,
-                            check_seed)
+                            check_real, check_seed)
 from minreal.tsallis import QParams
 
 CLASSES = (qvae.ObservationClass("proprio", "diag_gaussian", 2),
@@ -192,3 +196,128 @@ def test_non_finite_input_is_rejected_by_name(entry, bad, tmp_path):
     with pytest.raises(error, match=re.escape(message) + "$") as info:
         call(bad, path)
     assert type(info.value) is error
+
+
+def test_check_real_returns_a_float():
+    for value in [2, 0.5, np.float32(0.5), np.int64(2), np.float64(-np.inf), np.nan]:
+        real = check_real("x", value)
+        assert type(real) is float and np.array_equal(real, float(value), equal_nan=True)
+    for value in [True, np.bool_(False), "1", None, [0.5], 1j, np.array([0.5])]:
+        message = f"x must be a real number, got {value!r}"
+        with pytest.raises(ConfigError, match=re.escape(message) + "$"):
+            check_real("x", value)
+
+
+def _mask_file(value, path):
+    nets.save_checkpoint(path, {"kind": "mask", "threshold_used": value},
+                         {"importance": np.array([0.3, 0.1])})
+    return latent.load_mask(path)
+
+
+# real-valued field -> (a call that builds its config, or Adam, with value
+# in that field, the label its message names, a value the field accepts)
+TAKES_REAL = {
+    "CemConfig.elite_ratio": (lambda value, path: cem.CemConfig(
+        -np.ones(1), np.ones(1), elite_ratio=value), "elite_ratio", 0.5),
+    "CemConfig.smoothing": (lambda value, path: cem.CemConfig(
+        -np.ones(1), np.ones(1), smoothing=value), "smoothing", 0.5),
+    "CemConfig.time_budget": (lambda value, path: cem.CemConfig(
+        -np.ones(1), np.ones(1), time_budget=value), "time_budget", 2),
+    "QParams.q": (lambda value, path: _qparams(q=value), "q", 0.5),
+    "QParams.beta": (lambda value, path: _qparams(beta=value), "beta", 2),
+    "QParams.gamma": (lambda value, path: _qparams(gamma=value), "gamma", 2),
+    "QParams.class_qs": (lambda value, path: _qparams(class_qs=(0.95, value)),
+                         "class_qs", 0.999),
+    "QParams.class_weights": (lambda value, path: _qparams(class_weights=(value, 1.0)),
+                              "class_weights", 2),
+    "TrainConfig.learning_rate": (lambda value, path: qvae.TrainConfig(
+        1, learning_rate=value), "learning_rate", 0.5),
+    "Adam": (lambda value, path: nets.Adam([ad.parameter(np.zeros(2))], [value]),
+             "learning_rates", 0.5),
+    "LatentMask": (lambda value, path: latent.LatentMask(np.array([0.3, 0.1]), value),
+                   "threshold_used", 1),
+    "load_mask": (_mask_file, "{path}: threshold_used", None),
+}
+
+
+# "1" and None once passed or raised a raw TypeError, and True ran as 1.0.
+@pytest.mark.parametrize("value", [True, "1", None, [0.5]], ids=repr)
+@pytest.mark.parametrize("entry", TAKES_REAL)
+def test_non_real_field_is_rejected_by_name(entry, value, tmp_path):
+    call, label, _ = TAKES_REAL[entry]
+    path = tmp_path / "input.art"
+    error = ValueError if entry == "load_mask" else ConfigError
+    if entry == "CemConfig.time_budget" and value is None:
+        assert call(value, path).time_budget is None  # None is no budget
+        return
+    message = f"{label.format(path=path)} must be a real number, got {value!r}"
+    with pytest.raises(error, match=re.escape(message) + "$") as info:
+        call(value, path)
+    assert type(info.value) is error
+
+
+# A JSON header cannot hold a numpy scalar, so load_mask is left out.
+@pytest.mark.parametrize("entry", [name for name in TAKES_REAL if name != "load_mask"])
+def test_numpy_reals_accepted(entry, tmp_path):
+    call, _, good = TAKES_REAL[entry]
+    call(np.float32(good), tmp_path / "input.art")
+    call(np.float64(good), tmp_path / "input.art")
+    if float(good).is_integer():
+        call(np.int64(good), tmp_path / "input.art")
+
+
+def test_cem_config_keeps_its_reals_as_given():
+    # As a float64, np.float32(0.01) * 10 000 floors to 99 elites, not 100.
+    cfg = cem.CemConfig(-np.ones(1), np.ones(1), elite_ratio=np.float32(0.01))
+    assert cem.select_elites(np.zeros(cfg.candidates), cfg.elite_ratio).size == 100
+
+
+@pytest.mark.parametrize("kwargs, label", [
+    ({"epochs": 1.5}, "epochs"), ({"epochs": -1}, "epochs"), ({"epochs": True}, "epochs"),
+    ({"epochs": 1, "batch_size": 0}, "batch_size"),
+    ({"epochs": 1, "batch_size": 16.0}, "batch_size"),
+    ({"epochs": 1, "batch_size": "8"}, "batch_size")], ids=repr)
+@pytest.mark.parametrize("config", [qvae.TrainConfig, world.WorldTrainConfig])
+def test_training_config_checks_its_integers_when_built(config, kwargs, label):
+    with pytest.raises(ConfigError, match=f"^{label} must be"):
+        config(**kwargs)
+    assert config(np.int64(0), batch_size=np.int32(1)).epochs == 0
+
+
+# builder call with an argument replaced -> the name its message gives
+TAKES_WIDTH = {
+    "build_qvae.latent_dim": (lambda value: qvae.build_qvae(CLASSES, value, QPARAMS),
+                              "latent_dim"),
+    "build_world_model.state_dim": (lambda value: world.build_world_model(value, 2),
+                                    "state_dim"),
+    "build_world_model.action_dim": (lambda value: world.build_world_model(2, value),
+                                     "action_dim"),
+}
+
+
+# 2.0 once raised "layer width must be an integer, got 4.0", which names
+# neither, and action_dim 0 a ValueError about the dynamics net's input.
+@pytest.mark.parametrize("value, rule", [(2.0, "an integer, got 2.0"), (True, "an integer"),
+                                         (0, ">= 1, got 0")], ids=repr)
+@pytest.mark.parametrize("entry", TAKES_WIDTH)
+def test_builders_name_a_bad_width(entry, value, rule):
+    call, name = TAKES_WIDTH[entry]
+    with pytest.raises(ConfigError, match=re.escape(f"{name} must be {rule}")):
+        call(value)
+
+
+# MlpSpec(5) once raised a raw "'int' object is not iterable".
+@pytest.mark.parametrize("widths", [5, "345", np.array([3, 4, 2]), None], ids=repr)
+def test_layer_widths_must_be_a_list_or_tuple(widths):
+    with pytest.raises(ConfigError, match="^layer_widths must be a list or tuple"):
+        nets.MlpSpec(widths)
+    assert nets.MlpSpec([3, 4, 2]).layer_widths == (3, 4, 2)
+
+
+@pytest.mark.parametrize("field", ["class_qs", "class_weights"])
+@pytest.mark.parametrize("value", [0.95, "0.95", np.array([0.95, 0.999]), None], ids=repr)
+def test_class_fields_must_be_a_list_or_tuple(field, value):
+    # A scalar or a string once raised a raw TypeError, and an array passed.
+    with pytest.raises(ConfigError, match=f"^{field} must be a list or tuple"):
+        _qparams(**{field: value})
+    assert _qparams(**{field: [1.0, 1.0] if field == "class_weights" else [0.95, 0.999]})

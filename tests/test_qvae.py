@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from minreal import autodiff as ad
+from minreal import errors
 from minreal.errors import ConfigError, TrainingAbort
 from minreal.nets import CB_LOGIT_CLAMP, Mlp, MlpSpec, load_checkpoint
 from minreal.qvae import (
@@ -240,11 +241,13 @@ class TestEncodeDecode:
         with pytest.raises(ValueError, match="non-finite values in x"):
             model.encode(x)
 
-    @pytest.mark.parametrize("row", [RECON_BLOCK_ROWS - 1, RECON_BLOCK_ROWS,
-                                     2 * RECON_BLOCK_ROWS])
-    def test_encode_checks_every_block_of_rows(self, row):
+    # With blocks of 4 rows of check_finite's scan, rows 3 and 4 are the
+    # last and first of a block and row 10 the last of all.
+    @pytest.mark.parametrize("row", [3, 4, 10])
+    def test_encode_checks_every_block_of_rows(self, row, monkeypatch):
         model = tiny_model(seed=3)
-        x, _ = tiny_batch(model, 2 * RECON_BLOCK_ROWS + 1, seed=1)
+        monkeypatch.setattr(errors, "FINITE_BLOCK_ELEMENTS", 4 * model.obs_dim)
+        x, _ = tiny_batch(model, 11, seed=1)
         x[row, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite values in x"):
             model.encode(x)
