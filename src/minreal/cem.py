@@ -69,8 +69,8 @@ class CemConfig:
                 raise ConfigError(f"{name} must be in (0, 1), got {value!r}")
         if self.time_budget is not None and np.isnan(check_real("time_budget", self.time_budget)):
             raise ConfigError("time_budget must not be NaN")
-        lo = check_finite("action_low", self.action_low, ConfigError)
-        hi = check_finite("action_high", self.action_high, ConfigError)
+        lo = check_finite("action_low", self.action_low, ConfigError).copy()
+        hi = check_finite("action_high", self.action_high, ConfigError).copy()
         if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
             raise ConfigError(f"action_low and action_high must be nonempty vectors of one "
                               f"shape, got shapes {lo.shape} and {hi.shape}")

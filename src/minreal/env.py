@@ -19,11 +19,17 @@ and then writes only its lit pixels, the bar's two rows and the dot's
 velocities and actions must be finite 2-vectors; DotReacherState, env_step
 and render_batch raise ValueError otherwise. The one-episode API
 (env_step, observe, render, reward_of, scripted_action, initial_state)
-calls the same kernels at E = 1. collect_dataset first draws every
-episode's RNG stream in full, in the order one episode at a time would
+calls the same kernels at E = 1. Episode i of collect_dataset(n, seed)
+draws from the stream that np.random.SeedSequence(seed).spawn(n)[i] gives,
+a PCG64 seeded from words that _spawned_state derives for all n children
+in one pass, following numpy's SeedSequence algorithm
+(numpy/random/bit_generator.pyx). collect_dataset first draws every
+episode's stream in full, in the order one episode at a time would
 consume it (the three spawn uniforms, then the (T, ACTION_DIM) action
-noise), and then advances all episodes together, so its arrays equal an
-episode-by-episode collection bit for bit. The one trap is the norm:
+noise), as raw uniforms and standard normals that it then scales for all
+episodes at once by the Generator's own formulas, and then advances all
+episodes together, so its arrays equal an episode-by-episode collection
+bit for bit. The one trap is the norm:
 np.linalg.norm of a 2-vector is the square root of a BLAS dot, which
 rounds differently from sqrt(x*x + y*y), norm(axis=1) or np.hypot in a few
 percent of rows, so row_norm takes its per-row dot through a stacked
@@ -39,6 +45,7 @@ import dataclasses
 import math
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from .errors import check_int, check_seed
 from .nets import check_arrays, check_shapes, load_checkpoint, save_checkpoint
@@ -203,14 +210,19 @@ _SPAWN_LOW = np.array([TARGET_HEIGHT_RANGE[0], -SPAWN_DX, SPAWN_DY[0]])
 _SPAWN_SPAN = np.array([TARGET_HEIGHT_RANGE[1], SPAWN_DX, SPAWN_DY[1]]) - _SPAWN_LOW
 
 
+def _spawn_scale(u):
+    """Spawn draws from uniforms u (..., 3) in [0, 1), in stream order:
+    target height, then the x and y offsets of the start position. Scaled
+    by Generator.uniform's own formula low + span * u, they equal three
+    scalar rng.uniform calls bit for bit."""
+    return _SPAWN_LOW + _SPAWN_SPAN * u
+
+
 def _spawn_draws(rng):
-    """One episode's three spawn uniforms, (3,), in stream order: target
-    height, then the x and y offsets of the start position. Three doubles
-    from one draw, scaled by Generator.uniform's own formula low + span * u,
-    equal three scalar rng.uniform calls bit for bit. (An array-argument
-    rng.uniform gives the same bits, but its argument checks cost about
-    four times as much as the three calls.)"""
-    return _SPAWN_LOW + _SPAWN_SPAN * rng.random(3)
+    """One episode's three spawn draws, (3,), from one rng.random(3). (An
+    array-argument rng.uniform gives the same bits, but its argument checks
+    cost about four times as much as the three calls.)"""
+    return _spawn_scale(rng.random(3))
 
 
 def spawn_batch(draws):
@@ -349,21 +361,113 @@ class DatasetSplits:
         return len(self.train) + len(self.val) + len(self.test)
 
 
+# numpy's SeedSequence (numpy/random/bit_generator.pyx): pool size, the
+# hashmix constants of its entropy mixing (A) and of generate_state (B), and
+# the mix multipliers.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _seed_words(seed):
+    """seed's 32-bit entropy words as SeedSequence reads them: an int's
+    least significant word first (0 is [0]), a list's or tuple's items'
+    words in order."""
+    if isinstance(seed, (list, tuple)):
+        return [w for item in seed for w in _seed_words(item)]
+    seed = int(seed)
+    words = [seed & _MASK32]
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    return words
+
+
+def _hashmix(value, const, mult):
+    """numpy's hashmix step, with _MULT_A when mixing entropy and _MULT_B in
+    generate_state, on a Python int or a uint64 array of 32-bit values;
+    returns (hashed value, next hash constant)."""
+    value = value ^ const
+    const = (const * mult) & _MASK32
+    value = (value * const) & _MASK32
+    return value ^ (value >> 16), const
+
+
+def _mix(x, y):
+    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def _spawned_state(seed, n):
+    """(n, 4) uint64 array whose row i is
+    np.random.SeedSequence(seed).spawn(n)[i].generate_state(4, np.uint64),
+    for all children in one pass. Child i's entropy is seed's words,
+    zero-padded to the pool size, then the word i. Every child shares the
+    rounds before i, which run on Python ints; from i on, the pool is a
+    uint64 array over the children (a product of two 32-bit values fits,
+    and each result is masked to 32 bits). Its eight 32-bit output words
+    pair up, low word first, into each row's four."""
+    entropy = _seed_words(seed)
+    entropy += [0] * (_POOL_SIZE - len(entropy)) + [np.arange(n, dtype=np.uint64)]
+    const, pool = _INIT_A, []
+    for word in entropy[:_POOL_SIZE]:
+        value, const = _hashmix(word, const, _MULT_A)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, const = _hashmix(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, const = _hashmix(word, const, _MULT_A)
+            pool[dst] = _mix(pool[dst], value)
+    const, words = _INIT_B, []
+    for src in pool + pool:
+        value, const = _hashmix(src, const, _MULT_B)
+        words.append(value)
+    state = np.empty((n, 4), dtype=np.uint64)
+    for k in range(4):
+        state[:, k] = words[2 * k] | (words[2 * k + 1] << 32)
+    return state
+
+
+class _StateWords(ISeedSequence):
+    """The ISeedSequence of one _spawned_state row: PCG64 seeds from it as
+    from the spawned child the row was derived for."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def collect_dataset(n_episodes, seed=0) -> DatasetSplits:
     """Full-length scripted episodes (collection never terminates early, so
     near-target hovering is well covered), one RNG stream per episode, with
-    a fixed 90/5/5 split by episode. All episodes advance together. An
+    a fixed 90/5/5 split by episode. All episodes advance together. Episode
+    i's stream is the one np.random.default_rng(SeedSequence(seed).spawn(n)[i])
+    gives, a PCG64 seeded from that child's state words; _spawned_state
+    derives every child's words in one pass, following numpy's SeedSequence
+    (numpy/random/bit_generator.pyx), instead of building each child. An
     n_episodes that is not a positive integer, or a bad seed
     (errors.check_seed), is a ConfigError."""
     n_episodes = check_int("n_episodes", n_episodes, 1)
     check_seed("seed", seed)
-    draws = np.empty((n_episodes, 3))
+    uniforms = np.empty((n_episodes, 3))
     noise = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))
-    for e, child in enumerate(np.random.SeedSequence(seed).spawn(n_episodes)):
-        rng = np.random.default_rng(child)
-        draws[e] = _spawn_draws(rng)
-        noise[e] = rng.normal(0.0, DEFAULT_NOISE_STD, size=(EPISODE_LEN, ACTION_DIM))
-    pos, height = spawn_batch(draws)
+    for e, words in enumerate(_spawned_state(seed, n_episodes)):
+        rng = np.random.Generator(np.random.PCG64(_StateWords(words)))
+        rng.random(out=uniforms[e])
+        rng.standard_normal(out=noise[e])
+    # Generator.normal's own formula loc + scale * z, with loc = 0.0: bit for
+    # bit rng.normal(0.0, DEFAULT_NOISE_STD), -0.0 + 0.0 = 0.0 included.
+    noise *= DEFAULT_NOISE_STD
+    noise += 0.0
+    pos, height = spawn_batch(_spawn_scale(uniforms))
     vel = np.zeros_like(pos)
     obs = np.empty((n_episodes, EPISODE_LEN + 1, OBS_DIM))
     action = np.empty((n_episodes, EPISODE_LEN, ACTION_DIM))

@@ -27,7 +27,7 @@ class LatentMask:
     fallback_used: bool = dataclasses.field(init=False)
 
     def __post_init__(self):
-        importance = check_finite("importance", self.importance)
+        importance = check_finite("importance", self.importance).copy()
         if importance.ndim != 1 or importance.size == 0:
             raise ValueError(f"importance of shape {importance.shape} is not a vector")
         object.__setattr__(self, "threshold_used",

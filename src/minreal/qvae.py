@@ -358,7 +358,9 @@ class TrainConfig:
     def __post_init__(self):
         check_int("epochs", self.epochs, 0)
         check_int("batch_size", self.batch_size, 1)
-        check_real("learning_rate", self.learning_rate)
+        if not 0 < check_real("learning_rate", self.learning_rate) < float("inf"):
+            raise ConfigError(f"learning_rate must be positive and finite, "
+                              f"got {self.learning_rate!r}")
         check_seed("seed", self.seed)
 
 

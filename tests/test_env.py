@@ -330,6 +330,38 @@ class TestDenseOracle:
             assert rng.random() == ref.random()  # the same point in the stream
 
 
+# Seeds of every form SeedSequence reads: ints of one to four 32-bit words
+# (0 is the word [0], 2**32 - 1 the largest one-word int), a numpy int, and
+# lists and tuples of fewer, exactly and more than the pool's four words.
+SEEDS = [0, 1, 2208, 2**32 - 1, 2**32, 2**64 + 5, 3**80, np.int64(5), [101, 1], [], (5,),
+         [1, 2, 3, 4, 5, 6], [np.uint8(3), 2**33]]
+
+
+def spawned_state_oracle(seed, n):
+    """Oracle: each spawned child's state words, built one child at a time."""
+    return np.array([child.generate_state(4, np.uint64)
+                     for child in np.random.SeedSequence(seed).spawn(n)])
+
+
+class TestSpawnedState:
+    @pytest.mark.parametrize("n", [1, 2, 300, 1025])
+    @pytest.mark.parametrize("seed", SEEDS, ids=repr)
+    def test_equals_numpy_spawn(self, seed, n):
+        got = env._spawned_state(seed, n)
+        want = spawned_state_oracle(seed, n)
+        assert got.dtype == np.uint64 and got.shape == (n, 4)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 2208, [1, 1], [1, 2, 3, 4, 5, 6]], ids=repr)
+    def test_generator_draws_as_default_rng(self, seed):
+        children = np.random.SeedSequence(seed).spawn(5)
+        for words, child in zip(env._spawned_state(seed, 5), children):
+            rng = np.random.Generator(np.random.PCG64(env._StateWords(words)))
+            ref = np.random.default_rng(child)
+            assert rng.random(64).tobytes() == ref.random(64).tobytes()
+            assert rng.standard_normal(64).tobytes() == ref.standard_normal(64).tobytes()
+
+
 NAN, INF = float("nan"), float("inf")
 
 

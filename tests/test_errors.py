@@ -284,6 +284,14 @@ def test_training_config_checks_its_integers_when_built(config, kwargs, label):
     assert config(np.int64(0), batch_size=np.int32(1)).epochs == 0
 
 
+# Each of these once built, and Adam rejected it only inside train_qvae.
+@pytest.mark.parametrize("rate", [-1.0, 0.0, float("inf"), float("nan")], ids=repr)
+def test_learning_rate_range_checked_when_built(rate):
+    with pytest.raises(ConfigError, match="^learning_rate must be positive and finite"):
+        qvae.TrainConfig(1, learning_rate=rate)
+    assert qvae.TrainConfig(1, learning_rate=np.float32(0.5)).learning_rate == 0.5
+
+
 # builder call with an argument replaced -> the name its message gives
 TAKES_WIDTH = {
     "build_qvae.latent_dim": (lambda value: qvae.build_qvae(CLASSES, value, QPARAMS),

@@ -1,6 +1,8 @@
 """Records that hold arrays compare by identity (eq=False): a field-wise ==
 would compare arrays, whose truth value is ambiguous, and a frozen record's
-field-wise hash would hash arrays, which are unhashable."""
+field-wise hash would hash arrays, which are unhashable. A record that
+checks an array keeps its own copy, so the caller's later writes do not
+reach it."""
 
 import numpy as np
 import pytest
@@ -43,3 +45,21 @@ def test_record_compares_by_identity(cls):
     assert a != b and not a == b
     if cls.__dataclass_params__.frozen:
         assert hash(a) == hash(a) and len({a, b}) == 2
+
+
+def test_records_keep_their_own_copy_of_checked_arrays(tmp_path):
+    # Both records once stored the caller's float64 array: after these
+    # writes mask.importance read 0.9 while mask.keep did not follow, and
+    # action_low read 5.0, above action_high.
+    imp = np.array([0.3, 0.1, 0.05])
+    mask = latent.LatentMask(imp, 0.15)
+    lo, hi = np.array([-1.0, -2.0]), np.array([1.0, 2.0])
+    cfg = cem.CemConfig(lo, hi, candidates=100)
+    imp[1], lo[0], hi[1] = 0.9, 5.0, -7.0
+    assert mask.importance.tolist() == [0.3, 0.1, 0.05]
+    assert mask.keep.tolist() == [True, False, False]
+    latent.save_mask(tmp_path / "mask.art", mask)
+    loaded = latent.load_mask(tmp_path / "mask.art")
+    assert loaded.importance.tolist() == [0.3, 0.1, 0.05]
+    assert loaded.keep.tolist() == [True, False, False]
+    assert cfg.action_low.tolist() == [-1.0, -2.0] and cfg.action_high.tolist() == [1.0, 2.0]
